@@ -208,6 +208,25 @@ struct RunOutcome {
     records: Vec<TraceRecord>,
 }
 
+/// A count option that must be at least 1 (the workload builders assert
+/// it), so a zero is an input error rather than a panic.
+fn count(a: &Args, name: &str, default: usize) -> Result<usize, String> {
+    match a.get_or(name, default).map_err(|e| e.to_string())? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The VolanoMark shape from `--rooms`/`--users`/`--messages`.
+fn volano_config(a: &Args) -> Result<VolanoConfig, String> {
+    Ok(VolanoConfig {
+        rooms: count(a, "rooms", 5)?,
+        users_per_room: count(a, "users", 20)?,
+        messages_per_user: count(a, "messages", 10)?,
+        ..VolanoConfig::default()
+    })
+}
+
 /// Runs one workload on one machine; `trace_out` streams the full event
 /// trace to a JSON-lines file as the run executes.
 fn run_one(
@@ -224,19 +243,14 @@ fn run_one(
     let metric = match a.command.as_deref().unwrap_or("") {
         // `volanomark` is the benchmark's proper name; accept both.
         "volano" | "volanomark" => {
-            let w = VolanoConfig {
-                rooms: a.get_or("rooms", 5).map_err(|e| e.to_string())?,
-                users_per_room: a.get_or("users", 20).map_err(|e| e.to_string())?,
-                messages_per_user: a.get_or("messages", 10).map_err(|e| e.to_string())?,
-                ..VolanoConfig::default()
-            };
+            let w = volano_config(a)?;
             volanomark::build(&mut machine, &w);
             Some("messages".to_string())
         }
         "kbuild" => {
             let w = KbuildConfig {
-                jobs: a.get_or("jobs", 4).map_err(|e| e.to_string())?,
-                translation_units: a.get_or("units", 160).map_err(|e| e.to_string())?,
+                jobs: count(a, "jobs", 4)?,
+                translation_units: count(a, "units", 160)?,
                 ..KbuildConfig::default()
             };
             kbuild::build(&mut machine, &w);
@@ -244,8 +258,8 @@ fn run_one(
         }
         "httpd" => {
             let w = HttpdConfig {
-                clients: a.get_or("clients", 64).map_err(|e| e.to_string())?,
-                workers: a.get_or("workers", 8).map_err(|e| e.to_string())?,
+                clients: count(a, "clients", 64)?,
+                workers: count(a, "workers", 8)?,
                 requests_per_client: a.get_or("requests", 10).map_err(|e| e.to_string())?,
                 ..HttpdConfig::default()
             };
@@ -482,12 +496,7 @@ fn run_cluster(a: &Args) -> Result<(), String> {
             .map_err(|_| format!("--fault-seed: invalid value '{text}'"))?;
         ccfg = ccfg.with_fault_seed(fseed);
     }
-    let w = VolanoConfig {
-        rooms: a.get_or("rooms", 5).map_err(|e| e.to_string())?,
-        users_per_room: a.get_or("users", 20).map_err(|e| e.to_string())?,
-        messages_per_user: a.get_or("messages", 10).map_err(|e| e.to_string())?,
-        ..VolanoConfig::default()
-    };
+    let w = volano_config(a)?;
     let budget = policy_budget(a)?;
     let scheds = a.get("sched").unwrap_or("reg,elsc");
     let names: Vec<&str> = scheds
@@ -982,6 +991,46 @@ mod tests {
             .expect("oracle report");
         assert!(o.decisions > 0);
         assert!(o.clean(), "stress under elsc must match the reference");
+    }
+
+    /// `policies/reg.pol` promises decision-for-decision identity with
+    /// native reg, and on a multi-level tree that includes the graded
+    /// affinity bonus: the oracle must see no topology-motivated
+    /// divergences (it saw 32 of 184 decisions when the policy goodness
+    /// ignored the tree).
+    #[test]
+    fn reg_pol_matches_reg_on_a_numa_tree() {
+        let a = args(&[
+            "stress",
+            "--tasks",
+            "24",
+            "--rounds",
+            "6",
+            "--seed",
+            "1",
+            "--topology",
+            "2N4C2T",
+            "--oracle",
+            "--quiet",
+        ]);
+        let topo: Topology = "2N4C2T".parse().unwrap();
+        let pol = concat!(
+            "policy:",
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../policies/reg.pol"
+        );
+        for name in ["reg", pol] {
+            let out = run_one(&a, scheduler(name, topo, None).unwrap(), None).unwrap();
+            let o = out
+                .report
+                .chaos
+                .as_ref()
+                .and_then(|c| c.oracle.as_ref())
+                .expect("oracle report");
+            assert_eq!(o.decisions, 184, "{name}");
+            assert_eq!(o.topology, 0, "{name}: topology-motivated divergences");
+            assert!(o.clean(), "{name}: {:?}", o.first_unexplained);
+        }
     }
 
     #[test]

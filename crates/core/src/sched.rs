@@ -271,29 +271,29 @@ fn scan_list(
         shortcut: false,
     };
     let mut examined = 0usize;
+    // Goodness evaluations, charged in one batch on the way out.
+    let mut evals = 0u64;
     let mut cur = sched.table.lists().first(idx);
     // The whole scan — links, skip test, goodness arithmetic — reads the
-    // dense hot-field lanes; the full `Task` struct is touched only to
+    // packed hot records; the full `Task` struct is touched only to
     // materialize a candidate's handle.
     while let Some(i) = cur {
         let next_link = sched.table.lists().next_task(ctx.tasks, i);
         let li = i as usize;
-        let lanes = ctx.tasks.lanes();
+        let rec = *ctx.tasks.lanes().record(li);
         // Skip tasks executing on *another* CPU; if everything here is
         // skipped we fall through to the next populated list.
-        if ctx.cfg.smp && lanes.has_cpu(li) && lanes.processor(li) != cpu {
+        if ctx.cfg.smp && rec.has_cpu() && rec.processor() != cpu {
             cur = next_link;
             continue;
         }
-        let is_rt = lanes.is_realtime(li);
-        if !is_rt && lanes.counter(li) == 0 {
+        let is_rt = rec.is_realtime();
+        if !is_rt && rec.counter() == 0 {
             // The rest of the list is the parked zero section: unusable.
             break;
         }
-        ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-        ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-        let lanes = ctx.tasks.lanes();
-        if lanes.yielded(li) {
+        evals += 1;
+        if rec.yielded() {
             // Run a yielded task only if nothing else turns up.
             if out.yielded.is_none() {
                 out.yielded = Some(ctx.tasks.by_index(li).tid);
@@ -301,7 +301,7 @@ fn scan_list(
         } else if is_rt {
             // Real-time: no yield handling, no bonuses — highest
             // rt_priority wins (§5.2).
-            let w = RT_GOODNESS_BASE + lanes.rt_priority(li);
+            let w = RT_GOODNESS_BASE + rec.rt_priority();
             if out.best.is_none_or(|(_, b)| beats(w, b)) {
                 out.best = Some((ctx.tasks.by_index(li).tid, w));
             }
@@ -309,17 +309,17 @@ fn scan_list(
             // The affinity term is distance-graded under a declared
             // topology; on a flat tree `topo_affinity_bonus` is exactly
             // the classic `{+15 on same CPU, else 0}`.
-            let mut w = lanes.counter(li)
-                + lanes.priority(li)
-                + topo_affinity_bonus(&ctx.cfg.topology, cpu, lanes.processor(li));
-            let mm_match = lanes.mm(li) == prev_mm;
+            let mut w = rec.counter()
+                + rec.priority()
+                + topo_affinity_bonus(&ctx.cfg.topology, cpu, rec.processor());
+            let mm_match = rec.mm() == prev_mm;
             if mm_match {
                 w += MM_BONUS;
             }
             if !ctx.cfg.smp
                 && mm_match
                 && idx < crate::table::RT_BASE_LIST - 1
-                && lanes.static_goodness(li) == (4 * idx as i32) + 3
+                && rec.static_goodness() == (4 * idx as i32) + 3
             {
                 // Uniprocessor shortcut (§5.2): affinity always matches on
                 // UP, so a shared mm is the maximum possible *bonus* — but
@@ -333,6 +333,7 @@ fn scan_list(
                 // takes the shortcut.
                 out.best = Some((ctx.tasks.by_index(li).tid, w));
                 out.shortcut = true;
+                ctx.charge_goodness(cpu, evals);
                 return out;
             }
             if out.best.is_none_or(|(_, b)| beats(w, b)) {
@@ -345,6 +346,7 @@ fn scan_list(
         }
         cur = next_link;
     }
+    ctx.charge_goodness(cpu, evals);
     out
 }
 

@@ -72,7 +72,7 @@ impl ElscTable {
     /// added).
     pub fn new() -> Self {
         ElscTable {
-            lists: Lists::new(NR_LISTS),
+            lists: Lists::linked(NR_LISTS),
             nonzero: [0; NR_LISTS],
             zero: [0; NR_LISTS],
             top: None,
@@ -230,12 +230,12 @@ impl ElscTable {
     }
 
     /// Finds the first zero-section task in list `idx` (the section
-    /// boundary), if any. Walks the hot-field lanes only.
+    /// boundary), if any. Walks the packed hot records only.
     fn first_zero(&self, tasks: &TaskTable, idx: usize) -> Option<Link> {
         let lanes = tasks.lanes();
         let mut cur = self.lists.first(idx);
         while let Some(i) = cur {
-            if lanes.rq_zero(i as usize) {
+            if lanes.record(i as usize).rq_zero() {
                 return Some(Link::Task(i));
             }
             cur = self.lists.next_task(tasks, i);
@@ -333,6 +333,14 @@ mod tests {
         let tid = tasks.spawn(&TaskSpec::default().priority(priority));
         tasks.task_mut(tid).counter = counter;
         tid
+    }
+
+    #[test]
+    fn sectioned_lists_carry_no_dense_index() {
+        // Section-boundary inserts go mid-list, which the shared dense
+        // scan's end-keyed index cannot represent: the ELSC bank is
+        // link-only, so `scan_best` can never run over it.
+        assert!(!ElscTable::new().lists().is_indexed());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! stale handle is detected instead of dereferencing freed memory.
 //!
 //! For mega-scale sweeps the table also maintains [`table::HotLanes`], a
-//! struct-of-arrays mirror of the scheduler-hot fields that the goodness
-//! scans and the recalculation loop sweep instead of the full structs.
+//! mirror of the scheduler-hot fields packed into one 32-byte
+//! [`table::HotRecord`] per task, which the goodness scans and the
+//! recalculation loop read instead of the full structs.
 #![deny(missing_docs)]
 
 pub mod list;
@@ -31,7 +32,7 @@ pub mod tid;
 pub mod waitqueue;
 
 pub use list::{Link, ListNode, Lists};
-pub use table::{HotLanes, TaskMut, TaskTable};
+pub use table::{HotLanes, HotRecord, TaskMut, TaskTable};
 pub use task::{CpuId, MmId, Policy, SchedClass, Task, TaskSpec, TaskState};
 pub use tid::Tid;
 pub use waitqueue::WaitQueue;

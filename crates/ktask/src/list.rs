@@ -16,6 +16,22 @@
 //! Handles inside links are raw slab indices (`u32`), mirroring kernel
 //! pointers; the list only ever contains live tasks, enforced by
 //! [`crate::table::TaskTable::free`] refusing to free a linked task.
+//!
+//! # The dense member index
+//!
+//! Walking a list chases one dependent link load per task. Banks whose
+//! lists only ever grow at the ends (every run queue except ELSC's
+//! sectioned table) also keep, per head, a dense array of their members'
+//! slab indices in list order, so a scan issues independent loads. Each
+//! member carries an *order key*: [`Lists::insert_front`] takes the
+//! front key minus one and [`Lists::insert_back`] the back key plus one,
+//! so keys increase strictly from front to back and a removal finds its
+//! member by binary search. [`Lists::new`] builds such an indexed bank;
+//! [`Lists::linked`] builds a link-only bank that also allows the
+//! mid-list inserts ([`Lists::insert_before`], [`Lists::insert_after`])
+//! an index keyed this way cannot represent.
+
+use std::collections::VecDeque;
 
 use crate::table::TaskTable;
 use crate::tid::Tid;
@@ -68,27 +84,128 @@ impl ListNode {
 #[derive(Clone, Debug)]
 pub struct Lists {
     heads: Vec<ListNode>,
+    /// The dense member index; `None` for a link-only bank.
+    index: Option<Index>,
+}
+
+/// Dense, list-ordered membership of every head of an indexed bank.
+#[derive(Clone, Debug, Default)]
+struct Index {
+    /// Per head: members' slab indices, front to back.
+    members: Vec<VecDeque<u32>>,
+    /// Per head: members' order keys, parallel to `members`.
+    keys: Vec<VecDeque<i64>>,
+    /// Per slab index: `(head, key)` of its current membership.
+    place: Vec<(u32, i64)>,
+}
+
+impl Index {
+    /// Records slab index `idx` as the new front (`front`) or back member
+    /// of head `h`.
+    fn insert(&mut self, h: usize, idx: u32, front: bool) {
+        let keys = &mut self.keys[h];
+        let key = if front {
+            keys.front().map_or(0, |k| k - 1)
+        } else {
+            keys.back().map_or(0, |k| k + 1)
+        };
+        if front {
+            keys.push_front(key);
+            self.members[h].push_front(idx);
+        } else {
+            keys.push_back(key);
+            self.members[h].push_back(idx);
+        }
+        let i = idx as usize;
+        if self.place.len() <= i {
+            self.place.resize(i + 1, (0, 0));
+        }
+        self.place[i] = (h as u32, key);
+    }
+
+    /// Drops slab index `idx` from its head.
+    fn remove(&mut self, idx: u32) {
+        let (h, key) = self.place[idx as usize];
+        let h = h as usize;
+        let pos = self.keys[h]
+            .binary_search(&key)
+            .expect("indexed member missing from its head");
+        debug_assert_eq!(self.members[h][pos], idx, "order key names another task");
+        self.keys[h].remove(pos);
+        self.members[h].remove(pos);
+    }
 }
 
 impl Lists {
-    /// Creates `n` empty lists.
+    /// Creates `n` empty lists with the dense member index. Tasks may
+    /// only be inserted at the ends of their list.
     pub fn new(n: usize) -> Lists {
-        let heads = (0..n)
-            .map(|h| {
-                // Kernel INIT_LIST_HEAD: an empty head points at itself.
-                let h = h as u32;
-                ListNode {
-                    next: Link::Head(h),
-                    prev: Link::Head(h),
-                }
+        Lists {
+            heads: Self::empty_heads(n),
+            index: Some(Index {
+                members: vec![VecDeque::new(); n],
+                keys: vec![VecDeque::new(); n],
+                place: Vec::new(),
+            }),
+        }
+    }
+
+    /// Creates `n` empty link-only lists: no dense index, but tasks may
+    /// be inserted anywhere (ELSC's sectioned lists).
+    pub fn linked(n: usize) -> Lists {
+        Lists {
+            heads: Self::empty_heads(n),
+            index: None,
+        }
+    }
+
+    /// Kernel INIT_LIST_HEAD: an empty head points at itself.
+    fn empty_heads(n: usize) -> Vec<ListNode> {
+        (0..n as u32)
+            .map(|h| ListNode {
+                next: Link::Head(h),
+                prev: Link::Head(h),
             })
-            .collect();
-        Lists { heads }
+            .collect()
     }
 
     /// Number of lists in the bank.
     pub fn nr_lists(&self) -> usize {
         self.heads.len()
+    }
+
+    /// Whether the bank keeps the dense member index ([`Lists::new`]).
+    pub fn is_indexed(&self) -> bool {
+        self.index.is_some()
+    }
+
+    /// The members of list `h` as slab indices, front to back, in two
+    /// contiguous runs (the dense index is a ring buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a link-only bank ([`Lists::linked`]).
+    #[inline]
+    pub fn members(&self, h: usize) -> (&[u32], &[u32]) {
+        self.dense().members[h].as_slices()
+    }
+
+    /// Number of tasks in list `h`, from the dense index.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a link-only bank ([`Lists::linked`]).
+    #[inline]
+    pub fn count(&self, h: usize) -> usize {
+        self.dense().members[h].len()
+    }
+
+    /// The dense index of an indexed bank.
+    #[inline]
+    fn dense(&self) -> &Index {
+        self.index
+            .as_ref()
+            .expect("dense member index of a link-only bank")
     }
 
     /// Reads the node a link points to.
@@ -142,6 +259,9 @@ impl Lists {
         let head = Link::Head(h as u32);
         let first = self.heads[h].next;
         self.insert_between(tasks, tid, head, first);
+        if let Some(index) = &mut self.index {
+            index.insert(h, tid.index() as u32, true);
+        }
     }
 
     /// Adds `tid` at the back of list `h` (`list_add_tail`).
@@ -149,16 +269,29 @@ impl Lists {
         let head = Link::Head(h as u32);
         let last = self.heads[h].prev;
         self.insert_between(tasks, tid, last, head);
+        if let Some(index) = &mut self.index {
+            index.insert(h, tid.index() as u32, false);
+        }
     }
 
     /// Inserts `tid` immediately after the node `anchor` points at.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an indexed bank: a mid-list insert has no order key.
     pub fn insert_after(&mut self, tasks: &mut TaskTable, anchor: Link, tid: Tid) {
+        assert!(!self.is_indexed(), "mid-list insert into an indexed bank");
         let after = self.node(tasks, anchor).next;
         self.insert_between(tasks, tid, anchor, after);
     }
 
     /// Inserts `tid` immediately before the node `anchor` points at.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an indexed bank: a mid-list insert has no order key.
     pub fn insert_before(&mut self, tasks: &mut TaskTable, anchor: Link, tid: Tid) {
+        assert!(!self.is_indexed(), "mid-list insert into an indexed bank");
         let before = self.node(tasks, anchor).prev;
         self.insert_between(tasks, tid, before, anchor);
     }
@@ -197,6 +330,9 @@ impl Lists {
         );
         self.set_next(tasks, node.prev, node.next);
         self.set_prev(tasks, node.next, node.prev);
+        if let Some(index) = &mut self.index {
+            index.remove(tid.index() as u32);
+        }
     }
 
     /// First task of list `h`, if any.
@@ -225,10 +361,10 @@ impl Lists {
     /// The task after `idx` in its list, or `None` at the end.
     ///
     /// Reads the link from the [`HotLanes`](crate::table::HotLanes)
-    /// mirror — the scan loops that call this per-candidate stay inside
-    /// the dense lanes instead of touching the full task structs.
+    /// mirror — the walks that call this per-candidate stay inside the
+    /// packed records instead of touching the full task structs.
     pub fn next_task(&self, tasks: &TaskTable, idx: u32) -> Option<u32> {
-        match tasks.lanes().next(idx as usize) {
+        match tasks.lanes().record(idx as usize).next() {
             Link::Task(i) => Some(i),
             Link::Head(_) => None,
             Link::Nil => panic!("walking from a detached node"),
@@ -294,6 +430,20 @@ impl Lists {
         }
         back.reverse();
         assert_eq!(fwd, back, "forward and backward walks disagree on list {h}");
+        if let Some(index) = &self.index {
+            assert!(
+                index.members[h].iter().eq(fwd.iter()),
+                "dense index disagrees with the links of list {h}"
+            );
+            let keys = &index.keys[h];
+            assert!(
+                keys.iter().zip(keys.iter().skip(1)).all(|(a, b)| a < b),
+                "order keys of list {h} not strictly increasing"
+            );
+            for (&i, &k) in fwd.iter().zip(keys) {
+                assert_eq!(index.place[i as usize], (h as u32, k), "stale place of {i}");
+            }
+        }
         for &i in &fwd {
             let t = tasks.by_index(i as usize);
             assert!(t.in_list(), "{} linked but prev is NULL", t.name);
@@ -394,7 +544,8 @@ mod tests {
 
     #[test]
     fn insert_after_and_before() {
-        let (mut l, mut t, tids) = setup(1, 3);
+        let (_, mut t, tids) = setup(1, 3);
+        let mut l = Lists::linked(1);
         l.insert_back(&mut t, 0, tids[0]);
         let anchor = Link::Task(tids[0].index() as u32);
         l.insert_after(&mut t, anchor, tids[1]);
@@ -408,6 +559,41 @@ mod tests {
             ]
         );
         l.check(&t, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mid-list insert into an indexed bank")]
+    fn indexed_bank_rejects_mid_list_inserts() {
+        let (mut l, mut t, tids) = setup(1, 2);
+        l.insert_back(&mut t, 0, tids[0]);
+        l.insert_before(&mut t, Link::Task(tids[0].index() as u32), tids[1]);
+    }
+
+    #[test]
+    fn dense_index_follows_list_order() {
+        let (mut l, mut t, tids) = setup(2, 5);
+        l.insert_front(&mut t, 0, tids[0]);
+        l.insert_back(&mut t, 0, tids[1]);
+        l.insert_front(&mut t, 0, tids[2]);
+        l.insert_back(&mut t, 1, tids[3]);
+        l.insert_back(&mut t, 0, tids[4]);
+        l.remove(&mut t, tids[1]);
+        l.remove_keep_next(&mut t, tids[0]);
+        let dense = |l: &Lists, h| {
+            let (a, b) = l.members(h);
+            [a, b].concat()
+        };
+        assert_eq!(dense(&l, 0), l.collect(&t, 0));
+        assert_eq!(
+            dense(&l, 0),
+            vec![tids[2].index() as u32, tids[4].index() as u32]
+        );
+        assert_eq!(l.count(0), 2);
+        assert_eq!(dense(&l, 1), vec![tids[3].index() as u32]);
+        l.check(&t, 0);
+        l.check(&t, 1);
+        assert!(l.is_indexed());
+        assert!(!Lists::linked(1).is_indexed());
     }
 
     #[test]

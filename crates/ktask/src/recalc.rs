@@ -50,8 +50,9 @@ pub fn in_recalc_walk(task: &Task) -> bool {
 ///
 /// Implemented as a dense sweep over the [`HotLanes`] mirror
 /// ([`TaskTable::recalc_counters`]) rather than a walk of the full task
-/// structs: at 100k+ tasks the loop is memory-bound, and two contiguous
-/// `i32` lanes stream through the cache where the slab would thrash it.
+/// structs: at 100k+ tasks the loop is memory-bound, and the contiguous
+/// 32-byte records stream through the cache where the slab would thrash
+/// it.
 ///
 /// [`HotLanes`]: crate::table::HotLanes
 /// [`TaskTable::recalc_counters`]: crate::table::TaskTable::recalc_counters

@@ -7,23 +7,24 @@
 //!
 //! # The hot-field mirror
 //!
-//! Alongside the slab the table maintains [`HotLanes`]: a struct-of-arrays
-//! mirror of exactly the fields the scheduler hot paths read — `counter`,
-//! `priority`, `rt_priority`, the `policy` bits, `mm`, `processor`,
-//! `rq_hint`/`rq_zero`, and the `run_list` links. Goodness scans and the
-//! recalculation loop sweep these dense lanes instead of chasing intrusive
-//! links through full [`Task`] structs, which is what keeps scheduling
+//! Alongside the slab the table maintains [`HotLanes`]: one packed
+//! 32-byte [`HotRecord`] per slot holding exactly the fields the
+//! scheduler hot paths read — `counter`, `priority`, `rt_priority`, the
+//! `policy` bits, `mm`, `processor`, `rq_hint`/`rq_zero`, and the
+//! `run_list` links. Goodness scans and the recalculation loop read
+//! these records instead of the full [`Task`] structs, so evaluating one
+//! candidate touches one cache line, which is what keeps scheduling
 //! decisions cache-resident when the table holds hundreds of thousands of
 //! tasks.
 //!
-//! The lanes are kept in lockstep with the slab automatically: every
-//! mutable access hands out a [`TaskMut`] guard whose `Drop` copies the
-//! hot fields back into the lanes. The slab remains the single source of
-//! truth; the lanes are a read-optimised mirror.
+//! The records are kept in lockstep with the slab automatically: every
+//! mutable access hands out a [`TaskMut`] guard whose `Drop` rewrites the
+//! task's record. The slab remains the single source of truth; the
+//! records are a read-optimised mirror.
 
 use core::ops::{Deref, DerefMut};
 
-use crate::list::{Link, ListNode};
+use crate::list::Link;
 use crate::task::{CpuId, MmId, Task, TaskSpec, TaskState};
 use crate::tid::Tid;
 
@@ -69,217 +70,204 @@ fn flags_of(task: &Task) -> u8 {
     flags
 }
 
-/// The struct-of-arrays mirror of the scheduler-hot [`Task`] fields.
+/// One task's scheduler-hot fields, packed into a single 32-byte record
+/// so that a goodness evaluation touches one cache line: `counter`,
+/// `priority`, `rt_priority`, `mm`, `processor`, the `run_list` links
+/// and the boolean fields as flag bits.
 ///
-/// Indexed by slab index; entries for free slots are dead (their flags
-/// lane is 0). Obtained read-only via [`TaskTable::lanes`]; kept in
-/// lockstep with the slab by the [`TaskMut`] guard.
-#[derive(Debug, Default)]
-pub struct HotLanes {
-    counter: Vec<i32>,
-    priority: Vec<i32>,
-    rt_priority: Vec<i32>,
-    mm: Vec<u32>,
-    processor: Vec<u32>,
-    flags: Vec<u8>,
-    rq_hint: Vec<u8>,
-    links: Vec<ListNode>,
+/// Read through [`HotLanes::record`]; written only by the [`TaskMut`]
+/// guard and the recalculation sweep.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(32))]
+pub struct HotRecord {
+    counter: i32,
+    priority: i32,
+    rt_priority: i32,
+    mm: u32,
+    processor: u32,
+    next: u32,
+    prev: u32,
+    flags: u8,
+    rq_hint: u8,
 }
 
-/// Mutable references to the lane entries of one slab index; the write-back
-/// half of a [`TaskMut`] guard.
-struct LaneRefs<'a> {
-    counter: &'a mut i32,
-    priority: &'a mut i32,
-    rt_priority: &'a mut i32,
-    mm: &'a mut u32,
-    processor: &'a mut u32,
-    flags: &'a mut u8,
-    rq_hint: &'a mut u8,
-    links: &'a mut ListNode,
-}
+// One record, one half cache line: a candidate never straddles two.
+const _: () = assert!(core::mem::size_of::<HotRecord>() == 32);
 
-impl LaneRefs<'_> {
-    /// Copies the hot fields of `task` into this lane entry.
-    #[inline]
-    fn sync(&mut self, task: &Task) {
-        *self.counter = task.counter;
-        *self.priority = task.priority;
-        *self.rt_priority = task.rt_priority;
-        *self.mm = task.mm.0;
-        *self.processor = task.processor as u32;
-        *self.flags = flags_of(task);
-        *self.rq_hint = task.rq_hint;
-        *self.links = task.run_list;
+/// Encoded [`Link::Nil`].
+const LINK_NIL: u32 = u32::MAX;
+/// Tag bit of an encoded [`Link::Head`].
+const LINK_HEAD: u32 = 1 << 31;
+
+/// Packs a link into 32 bits: NULL, a head number, or a slab index.
+#[inline]
+fn encode_link(l: Link) -> u32 {
+    match l {
+        Link::Nil => LINK_NIL,
+        Link::Head(h) => LINK_HEAD | h,
+        Link::Task(i) => {
+            debug_assert!(i < LINK_HEAD, "slab index {i} too large to pack");
+            i
+        }
     }
 }
 
-impl HotLanes {
-    /// Grows every lane to `n` entries.
-    fn grow_to(&mut self, n: usize) {
-        self.counter.resize(n, 0);
-        self.priority.resize(n, 0);
-        self.rt_priority.resize(n, 0);
-        self.mm.resize(n, 0);
-        self.processor.resize(n, 0);
-        self.flags.resize(n, 0);
-        self.rq_hint.resize(n, 0);
-        self.links.resize(n, ListNode::detached());
+/// Inverse of [`encode_link`].
+#[inline]
+fn decode_link(v: u32) -> Link {
+    if v == LINK_NIL {
+        Link::Nil
+    } else if v & LINK_HEAD != 0 {
+        Link::Head(v & !LINK_HEAD)
+    } else {
+        Link::Task(v)
     }
+}
 
-    /// Copies the hot fields of `task` into lane entry `idx`.
+impl HotRecord {
+    /// The record of a live task.
     #[inline]
-    fn sync(&mut self, idx: usize, task: &Task) {
-        self.refs_at(idx).sync(task);
-    }
-
-    /// Marks lane entry `idx` dead (slot freed).
-    #[inline]
-    fn clear(&mut self, idx: usize) {
-        self.flags[idx] = 0;
-        self.links[idx] = ListNode::detached();
-    }
-
-    /// Mutable references to every lane of entry `idx`.
-    #[inline]
-    fn refs_at(&mut self, idx: usize) -> LaneRefs<'_> {
-        LaneRefs {
-            counter: &mut self.counter[idx],
-            priority: &mut self.priority[idx],
-            rt_priority: &mut self.rt_priority[idx],
-            mm: &mut self.mm[idx],
-            processor: &mut self.processor[idx],
-            flags: &mut self.flags[idx],
-            rq_hint: &mut self.rq_hint[idx],
-            links: &mut self.links[idx],
+    fn of(task: &Task) -> HotRecord {
+        HotRecord {
+            counter: task.counter,
+            priority: task.priority,
+            rt_priority: task.rt_priority,
+            mm: task.mm.0,
+            processor: task.processor as u32,
+            next: encode_link(task.run_list.next),
+            prev: encode_link(task.run_list.prev),
+            flags: flags_of(task),
+            rq_hint: task.rq_hint,
         }
     }
 
-    /// Iterates mutable per-entry lane views in slab order.
-    fn iter_refs(&mut self) -> impl Iterator<Item = LaneRefs<'_>> {
+    /// The record of a free slot: dead, detached.
+    const DEAD: HotRecord = HotRecord {
+        counter: 0,
+        priority: 0,
+        rt_priority: 0,
+        mm: 0,
+        processor: 0,
+        next: LINK_NIL,
+        prev: LINK_NIL,
+        flags: 0,
+        rq_hint: 0,
+    };
+
+    /// Whether the slot holds a live task.
+    #[inline]
+    pub fn live(&self) -> bool {
+        self.flags & LANE_LIVE != 0
+    }
+
+    /// `counter`.
+    #[inline]
+    pub fn counter(&self) -> i32 {
         self.counter
-            .iter_mut()
-            .zip(self.priority.iter_mut())
-            .zip(self.rt_priority.iter_mut())
-            .zip(self.mm.iter_mut())
-            .zip(self.processor.iter_mut())
-            .zip(self.flags.iter_mut())
-            .zip(self.rq_hint.iter_mut())
-            .zip(self.links.iter_mut())
-            .map(
-                |(
-                    ((((((counter, priority), rt_priority), mm), processor), flags), rq_hint),
-                    links,
-                )| {
-                    LaneRefs {
-                        counter,
-                        priority,
-                        rt_priority,
-                        mm,
-                        processor,
-                        flags,
-                        rq_hint,
-                        links,
-                    }
-                },
-            )
     }
 
-    /// Number of lane entries (the slab capacity, not the live count).
+    /// `priority`.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.flags.len()
+    pub fn priority(&self) -> i32 {
+        self.priority
     }
 
-    /// Whether the lanes have no entries (no slots allocated yet).
+    /// `rt_priority`.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// Whether entry `idx` holds a live task.
-    #[inline]
-    pub fn live(&self, idx: usize) -> bool {
-        self.flags[idx] & LANE_LIVE != 0
-    }
-
-    /// `counter` of the task at `idx`.
-    #[inline]
-    pub fn counter(&self, idx: usize) -> i32 {
-        self.counter[idx]
-    }
-
-    /// `priority` of the task at `idx`.
-    #[inline]
-    pub fn priority(&self, idx: usize) -> i32 {
-        self.priority[idx]
-    }
-
-    /// `rt_priority` of the task at `idx`.
-    #[inline]
-    pub fn rt_priority(&self, idx: usize) -> i32 {
-        self.rt_priority[idx]
+    pub fn rt_priority(&self) -> i32 {
+        self.rt_priority
     }
 
     /// The static part of `goodness()`: `counter + priority` (paper §5).
     #[inline]
-    pub fn static_goodness(&self, idx: usize) -> i32 {
-        self.counter[idx] + self.priority[idx]
+    pub fn static_goodness(&self) -> i32 {
+        self.counter + self.priority
     }
 
-    /// Address space of the task at `idx`.
+    /// Address space.
     #[inline]
-    pub fn mm(&self, idx: usize) -> MmId {
-        MmId(self.mm[idx])
+    pub fn mm(&self) -> MmId {
+        MmId(self.mm)
     }
 
-    /// Processor the task at `idx` last ran on.
+    /// Processor the task last ran on.
     #[inline]
-    pub fn processor(&self, idx: usize) -> CpuId {
-        self.processor[idx] as CpuId
+    pub fn processor(&self) -> CpuId {
+        self.processor as CpuId
     }
 
-    /// Whether the task at `idx` is real-time (`SCHED_FIFO`/`SCHED_RR`).
+    /// Whether the task is real-time (`SCHED_FIFO`/`SCHED_RR`).
     #[inline]
-    pub fn is_realtime(&self, idx: usize) -> bool {
-        self.flags[idx] & LANE_RT != 0
+    pub fn is_realtime(&self) -> bool {
+        self.flags & LANE_RT != 0
     }
 
-    /// The `SCHED_YIELD` bit of the task at `idx`.
+    /// The `SCHED_YIELD` bit.
     #[inline]
-    pub fn yielded(&self, idx: usize) -> bool {
-        self.flags[idx] & LANE_YIELDED != 0
+    pub fn yielded(&self) -> bool {
+        self.flags & LANE_YIELDED != 0
     }
 
-    /// Whether the task at `idx` is executing on a processor.
+    /// Whether the task is executing on a processor.
     #[inline]
-    pub fn has_cpu(&self, idx: usize) -> bool {
-        self.flags[idx] & LANE_HAS_CPU != 0
+    pub fn has_cpu(&self) -> bool {
+        self.flags & LANE_HAS_CPU != 0
     }
 
-    /// Whether the task at `idx` sits in the zero-counter section of its
-    /// list (ELSC only).
+    /// Whether the task sits in the zero-counter section of its list
+    /// (ELSC only).
     #[inline]
-    pub fn rq_zero(&self, idx: usize) -> bool {
-        self.flags[idx] & LANE_RQ_ZERO != 0
+    pub fn rq_zero(&self) -> bool {
+        self.flags & LANE_RQ_ZERO != 0
     }
 
-    /// The run-queue class annotation of the task at `idx` (ELSC only).
+    /// The run-queue class annotation (ELSC only).
     #[inline]
-    pub fn rq_hint(&self, idx: usize) -> u8 {
-        self.rq_hint[idx]
+    pub fn rq_hint(&self) -> u8 {
+        self.rq_hint
     }
 
-    /// Forward run-queue link of the task at `idx`.
+    /// Forward run-queue link.
     #[inline]
-    pub fn next(&self, idx: usize) -> Link {
-        self.links[idx].next
+    pub fn next(&self) -> Link {
+        decode_link(self.next)
     }
 
-    /// Backward run-queue link of the task at `idx`.
+    /// Backward run-queue link.
     #[inline]
-    pub fn prev(&self, idx: usize) -> Link {
-        self.links[idx].prev
+    pub fn prev(&self) -> Link {
+        decode_link(self.prev)
+    }
+}
+
+/// The packed mirror of the scheduler-hot [`Task`] fields: one
+/// [`HotRecord`] per slab slot.
+///
+/// Indexed by slab index; records of free slots are dead. Obtained
+/// read-only via [`TaskTable::lanes`]; kept in lockstep with the slab by
+/// the [`TaskMut`] guard.
+#[derive(Debug, Default)]
+pub struct HotLanes {
+    records: Vec<HotRecord>,
+}
+
+impl HotLanes {
+    /// Number of records (the slab capacity, not the live count).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether there are no records (no slots allocated yet).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The packed record of slab index `idx`.
+    #[inline]
+    pub fn record(&self, idx: usize) -> &HotRecord {
+        &self.records[idx]
     }
 }
 
@@ -291,7 +279,7 @@ impl HotLanes {
 /// any manual synchronisation points.
 pub struct TaskMut<'a> {
     task: &'a mut Task,
-    lanes: LaneRefs<'a>,
+    record: &'a mut HotRecord,
 }
 
 impl Deref for TaskMut<'_> {
@@ -313,7 +301,7 @@ impl DerefMut for TaskMut<'_> {
 impl Drop for TaskMut<'_> {
     #[inline]
     fn drop(&mut self) {
-        self.lanes.sync(self.task);
+        *self.record = HotRecord::of(self.task);
     }
 }
 
@@ -354,15 +342,14 @@ impl TaskTable {
             debug_assert!(slot.task.is_none());
             let tid = Tid::from_raw(idx, slot.gen);
             let task = Task::new(tid, spec);
-            self.lanes.sync(idx as usize, &task);
+            self.lanes.records[idx as usize] = HotRecord::of(&task);
             slot.task = Some(task);
             tid
         } else {
             let idx = u32::try_from(self.slots.len()).expect("task table overflow");
             let tid = Tid::from_raw(idx, 0);
             let task = Task::new(tid, spec);
-            self.lanes.grow_to(idx as usize + 1);
-            self.lanes.sync(idx as usize, &task);
+            self.lanes.records.push(HotRecord::of(&task));
             self.slots.push(Slot {
                 gen: 0,
                 task: Some(task),
@@ -389,7 +376,7 @@ impl TaskTable {
             task
         );
         slot.gen = slot.gen.wrapping_add(1);
-        self.lanes.clear(tid.index());
+        self.lanes.records[tid.index()] = HotRecord::DEAD;
         self.free.push(tid.index() as u32);
         self.live -= 1;
     }
@@ -415,7 +402,7 @@ impl TaskTable {
         let task = slot.task.as_mut()?;
         Some(TaskMut {
             task,
-            lanes: self.lanes.refs_at(idx),
+            record: &mut self.lanes.records[idx],
         })
     }
 
@@ -472,11 +459,11 @@ impl TaskTable {
             .unwrap_or_else(|| panic!("empty task slot {idx}"));
         TaskMut {
             task,
-            lanes: self.lanes.refs_at(idx),
+            record: &mut self.lanes.records[idx],
         }
     }
 
-    /// Read access to the struct-of-arrays hot-field mirror.
+    /// Read access to the packed hot-field mirror.
     #[inline]
     pub fn lanes(&self) -> &HotLanes {
         &self.lanes
@@ -510,8 +497,8 @@ impl TaskTable {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = TaskMut<'_>> {
         self.slots
             .iter_mut()
-            .zip(self.lanes.iter_refs())
-            .filter_map(|(slot, lanes)| slot.task.as_mut().map(|task| TaskMut { task, lanes }))
+            .zip(self.lanes.records.iter_mut())
+            .filter_map(|(slot, record)| slot.task.as_mut().map(|task| TaskMut { task, record }))
     }
 
     /// Collects the handles of all live tasks.
@@ -519,7 +506,7 @@ impl TaskTable {
         self.iter().map(|t| t.tid).collect()
     }
 
-    /// The counter-recalculation loop (paper §3.3.2) as a dense lane
+    /// The counter-recalculation loop (paper §3.3.2) as a dense record
     /// sweep: `counter = counter/2 + priority` for every live, non-zombie
     /// task, in slab order. With `clear_rq_zero` the ELSC zero-section
     /// annotation is reset in the same pass (the walk ELSC runs just
@@ -530,20 +517,17 @@ impl TaskTable {
     pub fn recalc_counters(&mut self, clear_rq_zero: bool) -> usize {
         const WALK: u8 = LANE_LIVE | LANE_RECALC;
         let mut n = 0;
-        for idx in 0..self.slots.len() {
-            if self.lanes.flags[idx] & WALK != WALK {
+        for (slot, rec) in self.slots.iter_mut().zip(self.lanes.records.iter_mut()) {
+            if rec.flags & WALK != WALK {
                 continue;
             }
-            let c = (self.lanes.counter[idx] >> 1) + self.lanes.priority[idx];
-            self.lanes.counter[idx] = c;
-            let task = self.slots[idx]
-                .task
-                .as_mut()
-                .expect("live lane flag on an empty slot");
+            let c = (rec.counter >> 1) + rec.priority;
+            rec.counter = c;
+            let task = slot.task.as_mut().expect("live lane flag on an empty slot");
             task.counter = c;
             if clear_rq_zero {
                 task.rq_zero = false;
-                self.lanes.flags[idx] &= !LANE_RQ_ZERO;
+                rec.flags &= !LANE_RQ_ZERO;
             }
             n += 1;
         }
@@ -560,69 +544,27 @@ impl TaskTable {
     pub fn assert_lanes_in_lockstep(&self) {
         assert_eq!(self.lanes.len(), self.slots.len(), "lane length drifted");
         for (idx, slot) in self.slots.iter().enumerate() {
+            let r = self.lanes.record(idx);
             match &slot.task {
-                None => assert!(
-                    !self.lanes.live(idx),
-                    "slot {idx} is free but its lane flags say live"
-                ),
+                None => assert!(!r.live(), "slot {idx} is free but its record says live"),
                 Some(t) => {
-                    assert!(self.lanes.live(idx), "slot {idx} live but lane dead");
+                    assert!(r.live(), "slot {idx} live but its record dead");
+                    assert_eq!(r.counter(), t.counter, "counter, slot {idx}");
+                    assert_eq!(r.priority(), t.priority, "priority, slot {idx}");
+                    assert_eq!(r.rt_priority(), t.rt_priority, "rt_priority, slot {idx}");
+                    assert_eq!(r.mm(), t.mm, "mm, slot {idx}");
+                    assert_eq!(r.processor(), t.processor, "processor, slot {idx}");
                     assert_eq!(
-                        self.lanes.counter(idx),
-                        t.counter,
-                        "counter lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.priority(idx),
-                        t.priority,
-                        "priority lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.rt_priority(idx),
-                        t.rt_priority,
-                        "rt_priority lane, slot {idx}"
-                    );
-                    assert_eq!(self.lanes.mm(idx), t.mm, "mm lane, slot {idx}");
-                    assert_eq!(
-                        self.lanes.processor(idx),
-                        t.processor,
-                        "processor lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.is_realtime(idx),
+                        r.is_realtime(),
                         t.policy.class.is_realtime(),
-                        "rt flag lane, slot {idx}"
+                        "rt flag, slot {idx}"
                     );
-                    assert_eq!(
-                        self.lanes.yielded(idx),
-                        t.policy.yielded,
-                        "yield lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.has_cpu(idx),
-                        t.has_cpu,
-                        "has_cpu lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.rq_zero(idx),
-                        t.rq_zero,
-                        "rq_zero lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.rq_hint(idx),
-                        t.rq_hint,
-                        "rq_hint lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.next(idx),
-                        t.run_list.next,
-                        "next lane, slot {idx}"
-                    );
-                    assert_eq!(
-                        self.lanes.prev(idx),
-                        t.run_list.prev,
-                        "prev lane, slot {idx}"
-                    );
+                    assert_eq!(r.yielded(), t.policy.yielded, "yield flag, slot {idx}");
+                    assert_eq!(r.has_cpu(), t.has_cpu, "has_cpu flag, slot {idx}");
+                    assert_eq!(r.rq_zero(), t.rq_zero, "rq_zero flag, slot {idx}");
+                    assert_eq!(r.rq_hint(), t.rq_hint, "rq_hint, slot {idx}");
+                    assert_eq!(r.next(), t.run_list.next, "next link, slot {idx}");
+                    assert_eq!(r.prev(), t.run_list.prev, "prev link, slot {idx}");
                 }
             }
         }
@@ -734,15 +676,15 @@ mod tests {
             g.rq_zero = true;
         }
         t.assert_lanes_in_lockstep();
-        let lanes = t.lanes();
-        assert_eq!(lanes.counter(a.index()), 5);
-        assert_eq!(lanes.static_goodness(a.index()), 35);
-        assert!(lanes.yielded(a.index()));
-        assert!(lanes.has_cpu(a.index()));
-        assert_eq!(lanes.processor(a.index()), 3);
-        assert_eq!(lanes.rq_hint(a.index()), 9);
-        assert!(lanes.rq_zero(a.index()));
-        assert_eq!(lanes.mm(a.index()), MmId(7));
+        let r = t.lanes().record(a.index());
+        assert_eq!(r.counter(), 5);
+        assert_eq!(r.static_goodness(), 35);
+        assert!(r.yielded());
+        assert!(r.has_cpu());
+        assert_eq!(r.processor(), 3);
+        assert_eq!(r.rq_hint(), 9);
+        assert!(r.rq_zero());
+        assert_eq!(r.mm(), MmId(7));
 
         // Index guard and iteration guard.
         t.by_index_mut(b.index()).state = TaskState::Zombie;
@@ -756,7 +698,7 @@ mod tests {
         t.by_index_mut(b.index()).state = TaskState::Running;
         t.free(b);
         t.assert_lanes_in_lockstep();
-        assert!(!t.lanes().live(b.index()));
+        assert!(!t.lanes().record(b.index()).live());
     }
 
     #[test]

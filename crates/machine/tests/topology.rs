@@ -1,6 +1,6 @@
 //! Topology integration tests: the bubble scheduler re-homing whole
 //! address-space groups across NUMA nodes must keep the task table's
-//! SoA lanes in lockstep with the slab and conserve every kernel cycle
+//! hot-field records in lockstep with the slab and conserve every kernel cycle
 //! in the profiler ledger.
 
 use elsc_ktask::{MmId, TaskSpec};
@@ -46,9 +46,9 @@ fn bubble_rehoming_keeps_lanes_in_lockstep_with_the_slab() {
         // The processor lane is the steal path's read side: every live
         // slot must agree with its slab record even mid-migration.
         for idx in 0..m.tasks().lanes().len() {
-            if m.tasks().lanes().live(idx) {
+            if m.tasks().lanes().record(idx).live() {
                 assert_eq!(
-                    m.tasks().lanes().processor(idx),
+                    m.tasks().lanes().record(idx).processor(),
                     m.tasks().by_index(idx).processor,
                     "processor lane drifted at slot {idx}"
                 );

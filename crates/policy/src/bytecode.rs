@@ -93,10 +93,12 @@ pub enum Op {
     /// Operands: `a` = list-index register, `b` = best-score register
     /// (`C`), `c` = winner register (`B`), `d` = filter fn index in the
     /// low byte and score fn index in the high byte (both [`HOSTFNS`]).
-    /// Per examined task the VM charges 3 (filter), then 3 more before
-    /// the score call, then 4 after it, then 4 when a new best is
-    /// recorded — the interpreter's exact per-node schedule, with the
-    /// budget checked at every side-effect boundary.
+    /// Per task the VM charges 3 (filter), then 3 more before the score
+    /// call, then 4 after it, then 4 when a new best is recorded — the
+    /// interpreter's exact per-node schedule. The `can_schedule` +
+    /// `goodness` shape runs as one shared `scan_best` pass and charges
+    /// that schedule in one sum when the pass cannot reach the budget;
+    /// otherwise the budget is checked at every side-effect boundary.
     ScanBest,
 }
 

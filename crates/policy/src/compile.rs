@@ -27,7 +27,7 @@
 //!   selection loop (list-scan + compare-goodness + best-tracking, the
 //!   shape of every bundled `pick_next`) fuses into one native walk,
 //!   [`Op::ScanBest`], which removes all per-task dispatch overhead
-//!   while keeping the interpreter's per-node charge schedule.
+//!   while keeping the interpreter's per-node charge totals.
 //! * **constant pooling** — integer literals and `repeat` counts are
 //!   deduplicated into [`Chunk::consts`].
 //!

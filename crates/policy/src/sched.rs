@@ -29,8 +29,8 @@ use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    goodness_ignoring_yield, PolicyBackend, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler,
-    IDLE_GOODNESS,
+    goodness_ignoring_yield_on, PolicyBackend, PolicyLoadInfo, PolicyViolation, SchedCtx,
+    Scheduler, IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
 
@@ -400,37 +400,6 @@ pub(crate) fn recalc_effect(ctx: &mut SchedCtx<'_>, env: &Env) {
     });
 }
 
-/// The pure scan-filter predicates (`can_schedule` / `runnable`) on an
-/// already-resolved task — the single implementation shared by
-/// [`host_call`] and the VM's fused `scan.best` walk, so the two entry
-/// points cannot drift. Any other `f` is treated as `runnable` (the
-/// compiler only fuses these two).
-#[inline]
-pub(crate) fn scan_filter_pred(
-    f: HostFn,
-    smp: bool,
-    t: &elsc_ktask::Task,
-    tid: Tid,
-    prev: Option<Tid>,
-    idle: Option<Tid>,
-) -> bool {
-    match f {
-        // The kernel's scan filter: SMP skips tasks running anywhere,
-        // UP skips only `prev`.
-        HostFn::CanSchedule => !(if smp { t.has_cpu } else { Some(tid) == prev }),
-        _ => Some(tid) != idle && t.state.is_runnable(),
-    }
-}
-
-/// The observable side effects of one `goodness(t)` evaluation (cycle
-/// charge + scan statistics) — shared by [`host_call`] and the VM's
-/// fused `scan.best` walk.
-#[inline]
-pub(crate) fn charge_goodness_eval(ctx: &mut SchedCtx<'_>, cpu: CpuId) {
-    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-}
-
 /// Evaluates one host function — the single implementation both
 /// backends dispatch to, so their observable semantics (meter charges,
 /// stats, yield-bit consumption) cannot diverge. Total semantics
@@ -456,21 +425,27 @@ pub(crate) fn host_call(
             None => Val::Int(i64::from(IDLE_GOODNESS)),
             Some(tid) => {
                 // Charged exactly like a native scan step.
-                charge_goodness_eval(ctx, env.cpu);
+                ctx.charge_goodness(env.cpu, 1);
                 let t = ctx.tasks.task(tid);
-                Val::Int(i64::from(goodness_ignoring_yield(t, env.cpu, env.prev_mm)))
+                Val::Int(i64::from(goodness_ignoring_yield_on(
+                    &ctx.cfg.topology,
+                    t,
+                    env.cpu,
+                    env.prev_mm,
+                )))
             }
         },
         HostFn::PrevGoodness => match env.prev {
             Some(p) if Some(p) != env.idle && ctx.tasks.task(p).state.is_runnable() => {
-                charge_goodness_eval(ctx, env.cpu);
+                ctx.charge_goodness(env.cpu, 1);
                 if env.prev_yielded {
                     // Consume the SCHED_YIELD bit: the yielder counts
                     // as goodness 0 exactly once.
                     env.prev_yielded = false;
                     Val::Int(0)
                 } else {
-                    Val::Int(i64::from(goodness_ignoring_yield(
+                    Val::Int(i64::from(goodness_ignoring_yield_on(
+                        &ctx.cfg.topology,
                         ctx.tasks.task(p),
                         env.cpu,
                         env.prev_mm,
@@ -513,18 +488,26 @@ pub(crate) fn host_call(
         },
         HostFn::Runnable | HostFn::CanSchedule => match task_arg() {
             None => Val::Int(0),
-            Some(tid) => Val::Int(i64::from(scan_filter_pred(
-                f,
-                ctx.cfg.smp,
-                ctx.tasks.task(tid),
-                tid,
-                env.prev,
-                env.idle,
-            ))),
+            Some(tid) => {
+                let t = ctx.tasks.task(tid);
+                let pass = match f {
+                    // The kernel's scan filter: SMP skips tasks running
+                    // anywhere, UP skips only `prev`.
+                    HostFn::CanSchedule => {
+                        !(if ctx.cfg.smp {
+                            t.has_cpu
+                        } else {
+                            Some(tid) == env.prev
+                        })
+                    }
+                    _ => Some(tid) != env.idle && t.state.is_runnable(),
+                };
+                Val::Int(i64::from(pass))
+            }
         },
         HostFn::ListLen => {
             let h = wrap_list(int_arg(), lists.nr_lists());
-            Val::Int(lists.len(ctx.tasks, h) as i64)
+            Val::Int(lists.count(h) as i64)
         }
         HostFn::ListHead => {
             let h = wrap_list(int_arg(), lists.nr_lists());

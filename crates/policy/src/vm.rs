@@ -24,13 +24,12 @@
 //! walk `Lists::first`/`next_task` into retained buffers).
 
 use elsc_ktask::{Lists, Tid};
-use elsc_sched_api::{goodness_ignoring_yield, PolicyViolation, SchedCtx};
+use elsc_sched_api::{Decider, PolicyViolation, SchedCtx};
 
 use crate::ast::HostFn;
 use crate::bytecode::{Chunk, Op, BINOPS, BUILTIN_REGS, HOSTFNS, NO_ARG};
 use crate::sched::{
-    binop, charge_goodness_eval, host_call, recalc_effect, scan_filter_pred, set_counter_effect,
-    wrap_list, Env, HookRun, Val,
+    binop, host_call, recalc_effect, set_counter_effect, wrap_list, Env, HookRun, Val,
 };
 
 /// One `foreach` nesting level: the snapshot taken at `for.begin` and
@@ -265,116 +264,83 @@ pub(crate) fn run_chunk(
                 }
             }
             Op::ScanBest => {
-                // The whole selection loop in one native walk. No
+                // The whole selection loop in one native dispatch. No
                 // snapshot is needed: hooks defer every list mutation
                 // to the host, and the filter/score host calls only
-                // read. Charges follow the interpreter's per-node
-                // schedule, with the budget checked before each
-                // side-effecting host call (the score's meter charge
-                // and examined-task count must not happen on a decision
-                // the interpreter would already have aborted).
+                // read.
                 let filter = HOSTFNS[(i.d & 0xff) as usize];
                 let score = HOSTFNS[(i.d >> 8) as usize];
                 let h = wrap_list(int!(state.regs[a]), lists.nr_lists());
-                let mut cur = lists.first(h);
-                if score == HostFn::Goodness {
-                    // The hot shape (goodness scoring): filter,
-                    // goodness, and the best-so-far compare are
-                    // evaluated straight off the task slot, through
-                    // the same shared predicate/charge helpers
-                    // `host_call` itself uses. The best-so-far value
-                    // is cached in a local after its first (lazily
-                    // type-checked, like the interpreter) register
-                    // read; the registers are updated on every new
-                    // best, so a mid-scan budget blowout leaves them
-                    // exactly where the interpreter would.
-                    let smp = ctx.cfg.smp;
-                    let cpu = env.cpu;
-                    let prev_mm = env.prev_mm;
-                    let mut best: Option<i64> = None;
-                    while let Some(idx) = cur {
-                        let t = ctx.tasks.by_index(idx as usize);
-                        let tid = t.tid;
-                        let pass = scan_filter_pred(filter, smp, t, tid, env.prev, env.idle);
-                        // Pure, so safe to compute ahead of the
-                        // pre-score budget check.
-                        let g = if pass {
-                            i64::from(goodness_ignoring_yield(t, cpu, prev_mm))
-                        } else {
-                            0
-                        };
-                        cur = lists.next_task(ctx.tasks, idx);
-                        // Guard if-stmt + call node + arg node.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        if !pass {
-                            continue;
-                        }
-                        // let-stmt + call node + arg node, then the
-                        // score's observable effects.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        charge_goodness_eval(ctx, cpu);
-                        // Inner if-stmt + Gt node + both operand nodes.
-                        insns += 4;
-                        if insns > budget {
-                            blown!();
-                        }
-                        let best_val = match best {
-                            Some(v) => v,
-                            None => int!(state.regs[b]),
-                        };
-                        if g > best_val {
-                            // Two assignments + their source nodes.
-                            insns += 4;
-                            if insns > budget {
-                                blown!();
-                            }
-                            best = Some(g);
-                            state.regs[b] = Val::Int(g);
-                            state.regs[i.c as usize] = Val::Task(Some(tid));
-                        } else {
-                            best = Some(best_val);
-                        }
+                // The hot shape (`can_schedule` filter, `goodness`
+                // score) runs as one shared `scan_best` pass when it
+                // cannot blow the budget — a member costs at most
+                // 3 + 3 + 4 + 4 = 14 instructions — and the best-so-far
+                // register holds an i32. The interpreter's per-node
+                // schedule is then charged in one sum: 3 per member
+                // walked (guard), 7 per member examined (let + compare)
+                // and 4 per improvement (the two assignments).
+                let floor = match state.regs[b] {
+                    Val::Int(v) => i32::try_from(v).ok(),
+                    Val::Task(_) => None,
+                };
+                if let Some(floor) = floor.filter(|_| {
+                    filter == HostFn::CanSchedule
+                        && score == HostFn::Goodness
+                        && insns + 14 * lists.count(h) as u64 <= budget
+                }) {
+                    let decider = Decider {
+                        cfg: ctx.cfg,
+                        cpu: env.cpu,
+                        prev: env.prev,
+                        prev_mm: env.prev_mm,
+                    };
+                    let scan = ctx.scan(lists, h, &decider, floor);
+                    insns += 3 * scan.walked + 7 * scan.examined + 4 * scan.updates;
+                    if let Some(winner) = scan.winner {
+                        state.regs[b] = Val::Int(i64::from(scan.goodness));
+                        state.regs[i.c as usize] = Val::Task(Some(winner));
                     }
-                } else {
-                    while let Some(idx) = cur {
-                        let tid = ctx.tasks.by_index(idx as usize).tid;
-                        cur = lists.next_task(ctx.tasks, idx);
-                        // Guard if-stmt + call node + arg node.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        let t = Some(Val::Task(Some(tid)));
-                        if int!(host_call(ctx, lists, &mut env, filter, t)) == 0 {
-                            continue;
-                        }
-                        // let-stmt + call node + arg node, then the score.
-                        insns += 3;
-                        if insns > budget {
-                            blown!();
-                        }
-                        let g = host_call(ctx, lists, &mut env, score, t);
-                        // Inner if-stmt + Gt node + both operand nodes.
+                    pc += 1;
+                    continue;
+                }
+                // Otherwise the exact per-node path: charges follow the
+                // interpreter's schedule, with the budget checked before
+                // each side-effecting host call (the score's meter
+                // charge and examined-task count must not happen on a
+                // decision the interpreter would already have aborted).
+                let mut cur = lists.first(h);
+                while let Some(idx) = cur {
+                    let tid = ctx.tasks.by_index(idx as usize).tid;
+                    cur = lists.next_task(ctx.tasks, idx);
+                    // Guard if-stmt + call node + arg node.
+                    insns += 3;
+                    if insns > budget {
+                        blown!();
+                    }
+                    let t = Some(Val::Task(Some(tid)));
+                    if int!(host_call(ctx, lists, &mut env, filter, t)) == 0 {
+                        continue;
+                    }
+                    // let-stmt + call node + arg node, then the score.
+                    insns += 3;
+                    if insns > budget {
+                        blown!();
+                    }
+                    let g = host_call(ctx, lists, &mut env, score, t);
+                    // Inner if-stmt + Gt node + both operand nodes.
+                    insns += 4;
+                    if insns > budget {
+                        blown!();
+                    }
+                    let g = int!(g);
+                    if g > int!(state.regs[b]) {
+                        // Two assignments + their source nodes.
                         insns += 4;
                         if insns > budget {
                             blown!();
                         }
-                        let g = int!(g);
-                        if g > int!(state.regs[b]) {
-                            // Two assignments + their source nodes.
-                            insns += 4;
-                            if insns > budget {
-                                blown!();
-                            }
-                            state.regs[b] = Val::Int(g);
-                            state.regs[i.c as usize] = Val::Task(Some(tid));
-                        }
+                        state.regs[b] = Val::Int(g);
+                        state.regs[i.c as usize] = Val::Task(Some(tid));
                     }
                 }
             }

@@ -12,7 +12,7 @@
 //! task waits on the run queue, so the run queue can be kept sorted by it;
 //! only the two small bonuses need evaluating at decision time.
 
-use elsc_ktask::{CpuId, HotLanes, MmId, Task};
+use elsc_ktask::{CpuId, HotRecord, MmId, Task};
 use elsc_simcore::Topology;
 
 /// Goodness floor for real-time tasks (`SCHED_FIFO`/`SCHED_RR`).
@@ -67,6 +67,18 @@ pub const PACKAGE_AFFINITY_BONUS: i32 = 2;
 /// ```
 #[inline]
 pub fn topo_affinity_bonus(topo: &Topology, this_cpu: CpuId, last_cpu: CpuId) -> i32 {
+    if topo.is_flat() {
+        // Branch-free on flat trees: a scan's candidates hit and miss
+        // the deciding CPU in no predictable pattern.
+        return PROC_CHANGE_PENALTY * i32::from(last_cpu == this_cpu);
+    }
+    graded_affinity_bonus(topo, this_cpu, last_cpu)
+}
+
+/// [`topo_affinity_bonus`] on a multi-level tree. Kept out of line so
+/// the flat case inlined into a scan loop stays small.
+#[inline(never)]
+fn graded_affinity_bonus(topo: &Topology, this_cpu: CpuId, last_cpu: CpuId) -> i32 {
     if last_cpu == this_cpu {
         return PROC_CHANGE_PENALTY;
     }
@@ -131,38 +143,6 @@ pub fn goodness_ignoring_yield(task: &Task, this_cpu: CpuId, prev_mm: MmId) -> i
     weight
 }
 
-/// [`goodness_ignoring_yield`] computed from the [`HotLanes`] mirror.
-///
-/// The scan loops evaluate goodness per run-queue candidate; reading the
-/// dense lanes instead of the full `Task` struct keeps a 100k-task scan
-/// inside a handful of cache lines per candidate. Must agree with
-/// [`goodness_ignoring_yield`] on every input — the struct variant stays
-/// the specification (and the oracle's reference).
-#[inline]
-pub fn lane_goodness_ignoring_yield(
-    lanes: &HotLanes,
-    idx: usize,
-    this_cpu: CpuId,
-    prev_mm: MmId,
-) -> i32 {
-    if lanes.is_realtime(idx) {
-        return RT_GOODNESS_BASE + lanes.rt_priority(idx);
-    }
-    let counter = lanes.counter(idx);
-    if counter == 0 {
-        // Runnable, but its time slice is used up.
-        return 0;
-    }
-    let mut weight = counter + lanes.priority(idx);
-    if lanes.processor(idx) == this_cpu {
-        weight += PROC_CHANGE_PENALTY;
-    }
-    if lanes.mm(idx) == prev_mm {
-        weight += MM_BONUS;
-    }
-    weight
-}
-
 /// [`goodness_ignoring_yield`] under a declared topology: the flat
 /// `+15`-on-CPU-match affinity bonus generalizes to the distance-graded
 /// [`topo_affinity_bonus`]. On flat trees this equals
@@ -189,31 +169,28 @@ pub fn goodness_ignoring_yield_on(
     weight
 }
 
-/// [`goodness_ignoring_yield_on`] computed from the [`HotLanes`] mirror;
-/// the lane-reading twin, as [`lane_goodness_ignoring_yield`] is to
-/// [`goodness_ignoring_yield`].
+/// [`goodness_ignoring_yield_on`] computed from a task's packed
+/// [`HotRecord`].
+///
+/// The scan loops evaluate goodness per run-queue candidate; reading the
+/// 32-byte record instead of the full `Task` struct keeps each candidate
+/// to one cache line. Must agree with [`goodness_ignoring_yield_on`] on
+/// every input — the struct variant stays the specification (and the
+/// oracle's reference).
 #[inline]
-pub fn lane_goodness_ignoring_yield_on(
-    topo: &Topology,
-    lanes: &HotLanes,
-    idx: usize,
-    this_cpu: CpuId,
-    prev_mm: MmId,
-) -> i32 {
-    if lanes.is_realtime(idx) {
-        return RT_GOODNESS_BASE + lanes.rt_priority(idx);
+pub fn hot_goodness_on(topo: &Topology, rec: &HotRecord, this_cpu: CpuId, prev_mm: MmId) -> i32 {
+    if rec.is_realtime() {
+        return RT_GOODNESS_BASE + rec.rt_priority();
     }
-    let counter = lanes.counter(idx);
+    let counter = rec.counter();
     if counter == 0 {
         // Runnable, but its time slice is used up.
         return 0;
     }
-    let mut weight = counter + lanes.priority(idx);
-    weight += topo_affinity_bonus(topo, this_cpu, lanes.processor(idx));
-    if lanes.mm(idx) == prev_mm {
-        weight += MM_BONUS;
-    }
-    weight
+    counter
+        + rec.priority()
+        + topo_affinity_bonus(topo, this_cpu, rec.processor())
+        + MM_BONUS * i32::from(rec.mm() == prev_mm)
 }
 
 /// Full `goodness()` including the yield rule: a task that called
@@ -331,10 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_goodness_agrees_with_struct_goodness() {
-        // Exhaustive-ish cross-check of the lane variant against the
+    fn record_goodness_agrees_with_struct_goodness() {
+        // Exhaustive-ish cross-check of the record variant against the
         // struct variant over the interesting corners: RT vs other, zero
         // counter, both bonuses on/off.
+        let flat = elsc_simcore::Topology::flat(4);
         let mut table = TaskTable::new();
         let mut tids = Vec::new();
         for (counter, priority, processor, mm) in [
@@ -362,9 +340,9 @@ mod tests {
             for cpu in [0, 3] {
                 for prev_mm in [MmId::KERNEL, MmId(1), MmId(2)] {
                     assert_eq!(
-                        lane_goodness_ignoring_yield(table.lanes(), tid.index(), cpu, prev_mm),
+                        hot_goodness_on(&flat, table.lanes().record(tid.index()), cpu, prev_mm),
                         goodness_ignoring_yield(table.task(tid), cpu, prev_mm),
-                        "lane/struct goodness disagree for {tid:?} cpu={cpu} prev_mm={prev_mm:?}"
+                        "record/struct goodness disagree for {tid:?} cpu={cpu} prev_mm={prev_mm:?}"
                     );
                 }
             }
@@ -408,24 +386,13 @@ mod tests {
                         goodness_ignoring_yield(table.task(tid), cpu, prev_mm),
                         "flat-topology goodness must match for {tid:?} cpu={cpu}"
                     );
-                    assert_eq!(
-                        lane_goodness_ignoring_yield_on(
-                            &flat,
-                            table.lanes(),
-                            tid.index(),
-                            cpu,
-                            prev_mm
-                        ),
-                        lane_goodness_ignoring_yield(table.lanes(), tid.index(), cpu, prev_mm),
-                        "flat-topology lane goodness must match for {tid:?} cpu={cpu}"
-                    );
                 }
             }
         }
     }
 
     #[test]
-    fn topo_lane_goodness_agrees_with_struct_variant() {
+    fn topo_record_goodness_agrees_with_struct_variant() {
         let numa: elsc_simcore::Topology = "2N4C2T".parse().unwrap();
         let mut table = TaskTable::new();
         let mut tids = Vec::new();
@@ -440,13 +407,7 @@ mod tests {
         for &tid in &tids {
             for cpu in [0usize, 1, 7, 8] {
                 assert_eq!(
-                    lane_goodness_ignoring_yield_on(
-                        &numa,
-                        table.lanes(),
-                        tid.index(),
-                        cpu,
-                        MmId(2)
-                    ),
+                    hot_goodness_on(&numa, table.lanes().record(tid.index()), cpu, MmId(2)),
                     goodness_ignoring_yield_on(&numa, table.task(tid), cpu, MmId(2)),
                 );
             }

@@ -6,6 +6,9 @@
 //!
 //! * [`mod@goodness`] — the selection heuristic of `kernel/sched.c` (§3.3.1),
 //!   split into its static and dynamic parts the way ELSC exploits (§5).
+//! * [`scan_best`] — the O(n) selection loop every list-based scheduler
+//!   shares, computed off the dense member index and packed task
+//!   records; callers charge its `GoodnessEval`s once per pass.
 //! * [`Scheduler`] — the five entry points the kernel exposes:
 //!   `add_to_runqueue`, `del_from_runqueue`, `move_first_runqueue`,
 //!   `move_last_runqueue`, and `schedule` itself.
@@ -27,17 +30,18 @@ pub mod config;
 pub mod goodness;
 pub mod lockplan;
 pub mod resched;
+pub mod scan;
 pub mod scheduler;
 
 pub use config::SchedConfig;
 pub use goodness::{
-    goodness, goodness_ignoring_yield, goodness_ignoring_yield_on, lane_goodness_ignoring_yield,
-    lane_goodness_ignoring_yield_on, rt_goodness, topo_affinity_bonus, IDLE_GOODNESS,
-    LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS, PROC_CHANGE_PENALTY, RT_GOODNESS_BASE,
-    SMT_AFFINITY_BONUS,
+    goodness, goodness_ignoring_yield, goodness_ignoring_yield_on, hot_goodness_on, rt_goodness,
+    topo_affinity_bonus, IDLE_GOODNESS, LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS,
+    PROC_CHANGE_PENALTY, RT_GOODNESS_BASE, SMT_AFFINITY_BONUS,
 };
 pub use lockplan::{DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch};
 pub use resched::{reschedule_idle, CpuView, WakeTarget};
+pub use scan::{scan_best, Decider, ScanBest};
 pub use scheduler::{
     LearnedInfo, PolicyBackend, PolicyLoadInfo, PolicyViolation, SchedCtx, Scheduler,
 };

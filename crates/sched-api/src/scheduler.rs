@@ -5,13 +5,14 @@
 //! the baseline and ELSC (and the §8 future-work designs) plug into the
 //! same machine unchanged — the paper's design goal 1.
 
-use elsc_ktask::{CpuId, TaskTable, Tid};
+use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
 use elsc_obs::{EventBus, ObsEvent};
-use elsc_simcore::{CostModel, CycleMeter};
+use elsc_simcore::{CostKind, CostModel, CycleMeter};
 use elsc_stats::SchedStats;
 
 use crate::config::SchedConfig;
 use crate::lockplan::{DomainLocker, LockPlan};
+use crate::scan::{scan_best, Decider, ScanBest};
 
 /// Everything a scheduler may touch during one call.
 ///
@@ -49,6 +50,23 @@ impl SchedCtx<'_> {
         if let Some(bus) = self.probe.as_deref_mut() {
             bus.emit(event);
         }
+    }
+
+    /// Charges `n` `goodness()` evaluations made on `cpu`'s behalf: the
+    /// cycles, and the examined-task count of the scan statistics.
+    #[inline]
+    pub fn charge_goodness(&mut self, cpu: CpuId, n: u64) {
+        self.meter.charge_n(self.costs, CostKind::GoodnessEval, n);
+        self.stats.cpu_mut(cpu).tasks_examined += n;
+    }
+
+    /// One [`scan_best`] selection pass over list `head` of `lists`,
+    /// with its goodness evaluations charged to `d.cpu` in one batch.
+    #[inline]
+    pub fn scan(&mut self, lists: &Lists, head: usize, d: &Decider<'_>, floor: i32) -> ScanBest {
+        let scan = scan_best(lists, head, self.tasks, d, floor);
+        self.charge_goodness(d.cpu, scan.examined);
+        scan
     }
 
     /// Ensures the lock domain guarding `queue_cpu`'s run queue is held

@@ -184,6 +184,8 @@ impl Scheduler for AffinityHeapScheduler {
             let mut best: Option<(Tid, i32)> = None;
             let mut yielded_fallback: Option<Tid> = None;
             let mut exhausted = false;
+            // Goodness evaluations, charged in one batch after the pass.
+            let mut evals = 0u64;
             for (&(heap_cpu, heap_mm), heap) in &self.heaps {
                 // Skip tops running on other CPUs by walking down the few
                 // affected entries (only running-marked tasks are absent
@@ -199,8 +201,7 @@ impl Scheduler for AffinityHeapScheduler {
                     exhausted = true;
                     continue;
                 }
-                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+                evals += 1;
                 if p.policy.yielded {
                     if yielded_fallback.is_none() {
                         yielded_fallback = Some(tid);
@@ -223,6 +224,7 @@ impl Scheduler for AffinityHeapScheduler {
                     best = Some((tid, w));
                 }
             }
+            ctx.charge_goodness(cpu, evals);
             if let Some((tid, _)) = best {
                 break tid;
             }

@@ -28,7 +28,9 @@ use std::collections::BTreeMap;
 
 use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
-use elsc_sched_api::{goodness_ignoring_yield_on, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
+use elsc_sched_api::{
+    goodness_ignoring_yield_on, Decider, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS,
+};
 use elsc_simcore::{CostKind, Topology};
 
 /// Per-NUMA-node run queues placing mm-keyed task groups.
@@ -38,8 +40,6 @@ pub struct BubbleScheduler {
     topo: Topology,
     /// One list per NUMA node.
     lists: Lists,
-    /// Tasks per node queue.
-    counts: Vec<usize>,
     /// Each bubble's home node. Sticky: survives the group going idle,
     /// so a JVM that sleeps between bursts keeps its warm node.
     homes: BTreeMap<MmId, usize>,
@@ -53,7 +53,6 @@ impl BubbleScheduler {
         BubbleScheduler {
             topo,
             lists: Lists::new(nodes),
-            counts: vec![0; nodes],
             homes: BTreeMap::new(),
             nr_running: 0,
         }
@@ -66,40 +65,11 @@ impl BubbleScheduler {
         if let Some(&node) = self.homes.get(&mm) {
             return node;
         }
-        let node = (0..self.counts.len())
-            .min_by_key(|&n| self.counts[n])
+        let node = (0..self.lists.nr_lists())
+            .min_by_key(|&n| self.lists.count(n))
             .expect("at least one node");
         self.homes.insert(mm, node);
         node
-    }
-
-    /// Scans node queue `q`, returning the best candidate and its
-    /// goodness. `prev` is skipped (the caller evaluates it separately).
-    fn scan_queue(
-        &self,
-        ctx: &mut SchedCtx<'_>,
-        q: usize,
-        cpu: CpuId,
-        prev: Tid,
-        prev_mm: MmId,
-    ) -> (i32, Option<Tid>) {
-        let mut best = (IDLE_GOODNESS, None);
-        let mut cur = self.lists.first(q);
-        while let Some(idx) = cur {
-            let p = ctx.tasks.by_index(idx as usize);
-            let tid = p.tid;
-            let skip = if ctx.cfg.smp { p.has_cpu } else { tid == prev };
-            if !skip {
-                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let w = goodness_ignoring_yield_on(&ctx.cfg.topology, p, cpu, prev_mm);
-                if w > best.0 {
-                    best = (w, Some(tid));
-                }
-            }
-            cur = self.lists.next_task(ctx.tasks, idx);
-        }
-        best
     }
 
     /// Moves every queued member of `mm` from node `from` to node `to`
@@ -117,10 +87,8 @@ impl BubbleScheduler {
         for &tid in &members {
             ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
             self.lists.remove(ctx.tasks, tid);
-            self.counts[from] -= 1;
             ctx.tasks.task_mut(tid).rq_hint = to as u8;
             self.lists.insert_front(ctx.tasks, to, tid);
-            self.counts[to] += 1;
         }
         self.homes.insert(mm, to);
         members.len()
@@ -138,15 +106,12 @@ impl Scheduler for BubbleScheduler {
         let q = self.place(mm);
         ctx.tasks.task_mut(tid).rq_hint = q as u8;
         self.lists.insert_front(ctx.tasks, q, tid);
-        self.counts[q] += 1;
         self.nr_running += 1;
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        let q = ctx.tasks.task(tid).rq_hint as usize;
         self.lists.remove(ctx.tasks, tid);
-        self.counts[q] -= 1;
         self.nr_running -= 1;
     }
 
@@ -167,7 +132,7 @@ impl Scheduler for BubbleScheduler {
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
         ctx.meter.charge(ctx.costs, CostKind::SchedBase);
         ctx.stats.cpu_mut(cpu).sched_calls += 1;
-        let my_node = self.topo.node_of(cpu).min(self.counts.len() - 1);
+        let my_node = self.topo.node_of(cpu).min(self.lists.nr_lists() - 1);
 
         // Previous-task handling, as in the baseline.
         {
@@ -197,14 +162,18 @@ impl Scheduler for BubbleScheduler {
             y
         };
 
+        let decider = Decider {
+            cfg: ctx.cfg,
+            cpu,
+            prev: Some(prev),
+            prev_mm,
+        };
         let next = loop {
             let mut c = IDLE_GOODNESS;
             let mut next = idle;
             {
                 let prev_task = ctx.tasks.task(prev);
                 if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
                     c = if prev_yielded {
                         prev_yielded = false;
                         0
@@ -212,30 +181,31 @@ impl Scheduler for BubbleScheduler {
                         goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
                     };
                     next = prev;
+                    ctx.charge_goodness(cpu, 1);
                 }
             }
             // Own node's queue first.
-            let (w, cand) = self.scan_queue(ctx, my_node, cpu, prev, prev_mm);
-            if w > c {
-                c = w;
-                next = cand.expect("goodness above idle implies a task");
+            let scan = ctx.scan(&self.lists, my_node, &decider, c);
+            if let Some(winner) = scan.winner {
+                c = scan.goodness;
+                next = winner;
             }
             // Steal from the fullest other node when ours is dry — and
             // re-home the stolen task's whole bubble, so its siblings
             // follow it here instead of paying an mm switch across the
             // interconnect on every future wakeup.
-            if next == idle && self.counts.len() > 1 {
-                let victim = (0..self.counts.len())
-                    .filter(|&n| n != my_node && self.counts[n] > 0)
-                    .max_by_key(|&n| self.counts[n]);
+            if next == idle && self.lists.nr_lists() > 1 {
+                let victim = (0..self.lists.nr_lists())
+                    .filter(|&n| n != my_node && self.lists.count(n) > 0)
+                    .max_by_key(|&n| self.lists.count(n));
                 if let Some(victim) = victim {
                     // Take the victim node's lock domain before touching
                     // its list (any CPU on the node names the domain).
                     ctx.lock_queue_domain(victim * self.topo.cpus_per_node());
-                    let (w, cand) = self.scan_queue(ctx, victim, cpu, prev, prev_mm);
-                    if w > c {
-                        c = w;
-                        next = cand.expect("goodness above idle implies a task");
+                    let scan = ctx.scan(&self.lists, victim, &decider, c);
+                    if let Some(winner) = scan.winner {
+                        c = scan.goodness;
+                        next = winner;
                         let mm = ctx.tasks.task(next).mm;
                         self.rehome(ctx, mm, victim, my_node);
                     }
@@ -273,10 +243,9 @@ impl Scheduler for BubbleScheduler {
 
     fn debug_check(&self, tasks: &TaskTable) {
         let mut total = 0;
-        for q in 0..self.counts.len() {
+        for q in 0..self.lists.nr_lists() {
             self.lists.check(tasks, q);
-            assert_eq!(self.lists.len(tasks, q), self.counts[q], "count on {q}");
-            total += self.counts[q];
+            total += self.lists.count(q);
         }
         assert_eq!(total, self.nr_running, "nr_running out of sync");
     }

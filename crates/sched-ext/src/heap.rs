@@ -183,6 +183,8 @@ impl Scheduler for HeapScheduler {
             let mut best: Option<(Tid, i32)> = None;
             let mut yielded_fallback: Option<Tid> = None;
             let mut exhausted = false;
+            // Goodness evaluations, charged in one batch after the pass.
+            let mut evals = 0u64;
             for (&(_, _seq), &tid) in self
                 .queue
                 .range((top_key, 0)..=(top_key, u64::MAX))
@@ -196,8 +198,7 @@ impl Scheduler for HeapScheduler {
                     exhausted = true;
                     continue;
                 }
-                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+                evals += 1;
                 if p.policy.yielded {
                     if yielded_fallback.is_none() {
                         yielded_fallback = Some(tid);
@@ -220,6 +221,7 @@ impl Scheduler for HeapScheduler {
                     best = Some((tid, w));
                 }
             }
+            ctx.charge_goodness(cpu, evals);
             if let Some((tid, _)) = best {
                 break tid;
             }

@@ -31,7 +31,7 @@ use elsc_ktask::{CpuId, Lists, SchedClass, Tid};
 use elsc_learn::{quantize, Model, FEATURES};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, topo_affinity_bonus, LearnedInfo,
+    goodness_ignoring_yield_on, hot_goodness_on, topo_affinity_bonus, Decider, LearnedInfo,
     SchedCtx, Scheduler, IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
@@ -138,14 +138,18 @@ impl LearnedScheduler {
         prev_mm: elsc_ktask::MmId,
         mut prev_yielded: bool,
     ) -> Tid {
+        let decider = Decider {
+            cfg: ctx.cfg,
+            cpu,
+            prev: Some(prev),
+            prev_mm,
+        };
         loop {
             let mut c = IDLE_GOODNESS;
             let mut next = idle;
             {
                 let prev_task = ctx.tasks.task(prev);
                 if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
                     c = if prev_yielded {
                         prev_yielded = false;
                         0
@@ -153,33 +157,13 @@ impl LearnedScheduler {
                         goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
                     };
                     next = prev;
+                    ctx.charge_goodness(cpu, 1);
                 }
             }
-            let mut cur = self.lists.first(0);
-            while let Some(idx) = cur {
-                let i = idx as usize;
-                let lanes = ctx.tasks.lanes();
-                let skip = if ctx.cfg.smp {
-                    lanes.has_cpu(i)
-                } else {
-                    i == prev.index()
-                };
-                if !skip {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    let weight = lane_goodness_ignoring_yield_on(
-                        &ctx.cfg.topology,
-                        ctx.tasks.lanes(),
-                        i,
-                        cpu,
-                        prev_mm,
-                    );
-                    if weight > c {
-                        c = weight;
-                        next = ctx.tasks.by_index(i).tid;
-                    }
-                }
-                cur = self.lists.next_task(ctx.tasks, idx);
+            let scan = ctx.scan(&self.lists, 0, &decider, c);
+            if let Some(winner) = scan.winner {
+                c = scan.goodness;
+                next = winner;
             }
             if c != 0 {
                 return next;
@@ -199,6 +183,17 @@ impl LearnedScheduler {
                 updated: n as u64,
             });
         }
+    }
+}
+
+/// `can_schedule()` for the run-queue member at slab index `i`: SMP skips
+/// tasks executing anywhere, UP skips only `prev`.
+#[inline]
+fn can_schedule(ctx: &SchedCtx<'_>, i: usize, prev: Tid) -> bool {
+    if ctx.cfg.smp {
+        !ctx.tasks.lanes().record(i).has_cpu()
+    } else {
+        i != prev.index()
     }
 }
 
@@ -291,25 +286,21 @@ impl Scheduler for LearnedScheduler {
                 pick = Some((s, prev));
             }
         }
-        let mut cur = self.lists.first(0);
-        while let Some(idx) = cur {
-            let i = idx as usize;
-            let skip = if ctx.cfg.smp {
-                ctx.tasks.lanes().has_cpu(i)
-            } else {
-                i == prev.index()
-            };
-            if !skip {
-                ctx.meter.charge(ctx.costs, CostKind::TableIndex);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+        let (front, back) = self.lists.members(0);
+        let mut scored = 0u64;
+        for &i in front.iter().chain(back) {
+            let i = i as usize;
+            if can_schedule(ctx, i, prev) {
+                scored += 1;
                 let tid = ctx.tasks.by_index(i).tid;
                 let s = self.score_candidate(ctx, cpu, tid, depth, prev_mm);
                 if pick.is_none_or(|(bs, _)| s > bs) {
                     pick = Some((s, tid));
                 }
             }
-            cur = self.lists.next_task(ctx.tasks, idx);
         }
+        ctx.meter.charge_n(ctx.costs, CostKind::TableIndex, scored);
+        ctx.stats.cpu_mut(cpu).tasks_examined += scored;
 
         let next = if let Some((_, predicted)) = pick {
             // Bounded verification: the predicted pick must be schedulable
@@ -325,39 +316,21 @@ impl Scheduler for LearnedScheduler {
                     prev_mm,
                 )
             };
-            ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-            ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-            let mut best_bounded = IDLE_GOODNESS;
-            let mut seen = 0usize;
             let limit = ctx.cfg.search_limit();
-            let mut cur = self.lists.first(0);
-            while let Some(idx) = cur {
-                if seen >= limit {
-                    break;
-                }
-                let i = idx as usize;
-                let skip = if ctx.cfg.smp {
-                    ctx.tasks.lanes().has_cpu(i)
-                } else {
-                    i == prev.index()
-                };
-                if !skip {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    let w = lane_goodness_ignoring_yield_on(
-                        &ctx.cfg.topology,
-                        ctx.tasks.lanes(),
-                        i,
-                        cpu,
-                        prev_mm,
-                    );
-                    if w > best_bounded {
-                        best_bounded = w;
-                    }
-                    seen += 1;
-                }
-                cur = self.lists.next_task(ctx.tasks, idx);
-            }
+            let (front, back) = self.lists.members(0);
+            let lanes = ctx.tasks.lanes();
+            let (seen, best_bounded) = front
+                .iter()
+                .chain(back)
+                .map(|&i| i as usize)
+                .filter(|&i| can_schedule(ctx, i, prev))
+                .take(limit)
+                .fold((0u64, IDLE_GOODNESS), |(n, best), i| {
+                    let w = hot_goodness_on(&ctx.cfg.topology, lanes.record(i), cpu, prev_mm);
+                    (n + 1, best.max(w))
+                });
+            // The pick's own evaluation plus the bounded candidates.
+            ctx.charge_goodness(cpu, 1 + seen);
             if g_pick > 0 && g_pick >= best_bounded {
                 self.predictions += 1;
                 self.hits += 1;

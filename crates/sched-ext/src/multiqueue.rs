@@ -22,7 +22,9 @@
 
 use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, SchedClass, TaskTable, Tid};
-use elsc_sched_api::{goodness_ignoring_yield_on, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS};
+use elsc_sched_api::{
+    goodness_ignoring_yield_on, Decider, LockPlan, SchedCtx, Scheduler, IDLE_GOODNESS,
+};
 use elsc_simcore::CostKind;
 
 /// Per-CPU run queues with stealing.
@@ -30,8 +32,6 @@ use elsc_simcore::CostKind;
 pub struct MultiQueueScheduler {
     /// One list per CPU.
     lists: Lists,
-    /// Tasks per queue.
-    counts: Vec<usize>,
     nr_running: usize,
 }
 
@@ -45,43 +45,13 @@ impl MultiQueueScheduler {
         assert!(nr_cpus > 0, "need at least one queue");
         MultiQueueScheduler {
             lists: Lists::new(nr_cpus),
-            counts: vec![0; nr_cpus],
             nr_running: 0,
         }
     }
 
     /// Which queue a task belongs to.
     fn home_queue(&self, tasks: &TaskTable, tid: Tid) -> usize {
-        tasks.task(tid).processor % self.counts.len()
-    }
-
-    /// Scans queue `q`, returning the best candidate and its goodness.
-    /// `prev` is skipped (the caller evaluates it separately).
-    fn scan_queue(
-        &self,
-        ctx: &mut SchedCtx<'_>,
-        q: usize,
-        cpu: CpuId,
-        prev: Tid,
-        prev_mm: elsc_ktask::MmId,
-    ) -> (i32, Option<Tid>) {
-        let mut best = (IDLE_GOODNESS, None);
-        let mut cur = self.lists.first(q);
-        while let Some(idx) = cur {
-            let p = ctx.tasks.by_index(idx as usize);
-            let tid = p.tid;
-            let skip = if ctx.cfg.smp { p.has_cpu } else { tid == prev };
-            if !skip {
-                ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let w = goodness_ignoring_yield_on(&ctx.cfg.topology, p, cpu, prev_mm);
-                if w > best.0 {
-                    best = (w, Some(tid));
-                }
-            }
-            cur = self.lists.next_task(ctx.tasks, idx);
-        }
-        best
+        tasks.task(tid).processor % self.lists.nr_lists()
     }
 }
 
@@ -95,15 +65,12 @@ impl Scheduler for MultiQueueScheduler {
         let q = self.home_queue(ctx.tasks, tid);
         ctx.tasks.task_mut(tid).rq_hint = q as u8;
         self.lists.insert_front(ctx.tasks, q, tid);
-        self.counts[q] += 1;
         self.nr_running += 1;
     }
 
     fn del_from_runqueue(&mut self, ctx: &mut SchedCtx<'_>, tid: Tid) {
         ctx.meter.charge(ctx.costs, CostKind::ListOp);
-        let q = ctx.tasks.task(tid).rq_hint as usize;
         self.lists.remove(ctx.tasks, tid);
-        self.counts[q] -= 1;
         self.nr_running -= 1;
     }
 
@@ -124,7 +91,7 @@ impl Scheduler for MultiQueueScheduler {
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
         ctx.meter.charge(ctx.costs, CostKind::SchedBase);
         ctx.stats.cpu_mut(cpu).sched_calls += 1;
-        let my_q = cpu % self.counts.len();
+        let my_q = cpu % self.lists.nr_lists();
 
         // Previous-task handling, as in the baseline.
         {
@@ -154,14 +121,18 @@ impl Scheduler for MultiQueueScheduler {
             y
         };
 
+        let decider = Decider {
+            cfg: ctx.cfg,
+            cpu,
+            prev: Some(prev),
+            prev_mm,
+        };
         let next = loop {
             let mut c = IDLE_GOODNESS;
             let mut next = idle;
             {
                 let prev_task = ctx.tasks.task(prev);
                 if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
                     c = if prev_yielded {
                         prev_yielded = false;
                         0
@@ -169,13 +140,14 @@ impl Scheduler for MultiQueueScheduler {
                         goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
                     };
                     next = prev;
+                    ctx.charge_goodness(cpu, 1);
                 }
             }
             // Own queue first.
-            let (w, cand) = self.scan_queue(ctx, my_q, cpu, prev, prev_mm);
-            if w > c {
-                c = w;
-                next = cand.expect("goodness above idle implies a task");
+            let scan = ctx.scan(&self.lists, my_q, &decider, c);
+            if let Some(winner) = scan.winner {
+                c = scan.goodness;
+                next = winner;
             }
             // Steal from the fullest other queue when ours is empty of
             // candidates — preferring victims that share this CPU's LLC.
@@ -186,24 +158,24 @@ impl Scheduler for MultiQueueScheduler {
             // for it). On a flat tree every queue is same-node, so the
             // preference degenerates to the old global fullest-queue
             // pick, byte for byte.
-            if next == idle && self.counts.len() > 1 {
+            if next == idle && self.lists.nr_lists() > 1 {
                 let topo = &ctx.cfg.topology;
-                let victim = (0..self.counts.len())
-                    .filter(|&q| q != my_q && self.counts[q] > 0 && topo.same_node(q, cpu))
-                    .max_by_key(|&q| self.counts[q])
+                let victim = (0..self.lists.nr_lists())
+                    .filter(|&q| q != my_q && self.lists.count(q) > 0 && topo.same_node(q, cpu))
+                    .max_by_key(|&q| self.lists.count(q))
                     .or_else(|| {
-                        (0..self.counts.len())
-                            .filter(|&q| q != my_q && self.counts[q] > 0)
-                            .max_by_key(|&q| self.counts[q])
+                        (0..self.lists.nr_lists())
+                            .filter(|&q| q != my_q && self.lists.count(q) > 0)
+                            .max_by_key(|&q| self.lists.count(q))
                     });
                 if let Some(victim) = victim {
                     // Take the victim queue's lock domain before touching
                     // its list (two domains held, canonical order).
                     ctx.lock_queue_domain(victim);
-                    let (w, cand) = self.scan_queue(ctx, victim, cpu, prev, prev_mm);
-                    if w > c {
-                        c = w;
-                        next = cand.expect("goodness above idle implies a task");
+                    let scan = ctx.scan(&self.lists, victim, &decider, c);
+                    if let Some(winner) = scan.winner {
+                        c = scan.goodness;
+                        next = winner;
                     }
                 }
             }
@@ -229,10 +201,8 @@ impl Scheduler for MultiQueueScheduler {
                 ctx.lock_queue_domain(q);
                 ctx.meter.charge_n(ctx.costs, CostKind::ListOp, 2);
                 self.lists.remove(ctx.tasks, next);
-                self.counts[q] -= 1;
                 ctx.tasks.task_mut(next).rq_hint = my_q as u8;
                 self.lists.insert_front(ctx.tasks, my_q, next);
-                self.counts[my_q] += 1;
             }
         }
         if next != prev {
@@ -254,10 +224,9 @@ impl Scheduler for MultiQueueScheduler {
 
     fn debug_check(&self, tasks: &TaskTable) {
         let mut total = 0;
-        for q in 0..self.counts.len() {
+        for q in 0..self.lists.nr_lists() {
             self.lists.check(tasks, q);
-            assert_eq!(self.lists.len(tasks, q), self.counts[q], "count on {q}");
-            total += self.counts[q];
+            total += self.lists.count(q);
         }
         assert_eq!(total, self.nr_running, "nr_running out of sync");
     }

@@ -18,9 +18,7 @@
 use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, SchedClass, Tid};
 use elsc_obs::ObsEvent;
-use elsc_sched_api::{
-    goodness_ignoring_yield_on, lane_goodness_ignoring_yield_on, SchedCtx, Scheduler, IDLE_GOODNESS,
-};
+use elsc_sched_api::{goodness_ignoring_yield_on, Decider, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::CostKind;
 
 /// The stock Linux 2.3.99-pre4 scheduler ("reg" in the paper's figures).
@@ -132,6 +130,12 @@ impl Scheduler for LinuxScheduler {
             y
         };
 
+        let decider = Decider {
+            cfg: ctx.cfg,
+            cpu,
+            prev: Some(prev),
+            prev_mm,
+        };
         let next = loop {
             // `c` starts at the idle task's goodness; the previous task is
             // considered first if it is still runnable, so it wins all
@@ -141,8 +145,6 @@ impl Scheduler for LinuxScheduler {
             {
                 let prev_task = ctx.tasks.task(prev);
                 if prev != idle && prev_task.state.is_runnable() {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
                     c = if prev_yielded {
                         // `prev_goodness()` consumes the yield: a repeat
                         // pass (after recalculation) sees normal goodness,
@@ -153,42 +155,16 @@ impl Scheduler for LinuxScheduler {
                         goodness_ignoring_yield_on(&ctx.cfg.topology, prev_task, cpu, prev_mm)
                     };
                     next = prev;
+                    ctx.charge_goodness(cpu, 1);
                 }
             }
 
-            // The O(n) scan: every run-queue task not running elsewhere.
-            // The whole walk — links, skip test, goodness — reads the
-            // dense hot-field lanes; the full `Task` struct is touched
-            // only to materialize the winner's handle.
-            let mut cur = self.lists.first(0);
-            while let Some(idx) = cur {
-                let i = idx as usize;
-                let lanes = ctx.tasks.lanes();
-                // `can_schedule()`: skip tasks executing on a CPU. This
-                // also skips `prev` (counted above), whose has_cpu is
-                // still set. On UP only `prev` itself is skipped; a live
-                // run-queue member is identified by its slab index alone.
-                let skip = if ctx.cfg.smp {
-                    lanes.has_cpu(i)
-                } else {
-                    i == prev.index()
-                };
-                if !skip {
-                    ctx.meter.charge(ctx.costs, CostKind::GoodnessEval);
-                    ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                    let weight = lane_goodness_ignoring_yield_on(
-                        &ctx.cfg.topology,
-                        ctx.tasks.lanes(),
-                        i,
-                        cpu,
-                        prev_mm,
-                    );
-                    if weight > c {
-                        c = weight;
-                        next = ctx.tasks.by_index(i).tid;
-                    }
-                }
-                cur = self.lists.next_task(ctx.tasks, idx);
+            // The O(n) scan: every run-queue task not running elsewhere
+            // (`can_schedule()` also skips `prev`, counted above).
+            let scan = ctx.scan(&self.lists, 0, &decider, c);
+            if let Some(winner) = scan.winner {
+                c = scan.goodness;
+                next = winner;
             }
 
             if c != 0 {

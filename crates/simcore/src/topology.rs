@@ -67,21 +67,25 @@ impl Topology {
     }
 
     /// Total NUMA nodes across all packages.
+    #[inline]
     pub fn nr_nodes(&self) -> usize {
         self.packages * self.nodes_per_package
     }
 
     /// Number of packages (sockets).
+    #[inline]
     pub fn packages(&self) -> usize {
         self.packages
     }
 
     /// SMT threads per physical core.
+    #[inline]
     pub fn threads_per_core(&self) -> usize {
         self.threads_per_core
     }
 
     /// CPUs per NUMA node (cores × threads).
+    #[inline]
     pub fn cpus_per_node(&self) -> usize {
         self.cores_per_node * self.threads_per_core
     }
@@ -90,37 +94,44 @@ impl Topology {
     /// the flat per-CPU model of the original paper reproduction. All
     /// topology-aware code paths must be byte-identical to the flat
     /// model on such trees.
+    #[inline]
     pub fn is_flat(&self) -> bool {
         self.nr_nodes() == 1 && self.threads_per_core == 1
     }
 
     /// The global NUMA node index of `cpu`.
+    #[inline]
     pub fn node_of(&self, cpu: usize) -> usize {
         cpu / self.cpus_per_node()
     }
 
     /// The global physical core index of `cpu`.
+    #[inline]
     pub fn core_of(&self, cpu: usize) -> usize {
         cpu / self.threads_per_core
     }
 
     /// The package (socket) index of `cpu`.
+    #[inline]
     pub fn package_of(&self, cpu: usize) -> usize {
         self.node_of(cpu) / self.nodes_per_package
     }
 
     /// Whether two CPUs are SMT siblings on one physical core.
+    #[inline]
     pub fn same_core(&self, a: usize, b: usize) -> bool {
         self.core_of(a) == self.core_of(b)
     }
 
     /// Whether two CPUs share a NUMA node (and with it the LLC in this
     /// model).
+    #[inline]
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 
     /// Whether two CPUs sit in the same package.
+    #[inline]
     pub fn same_package(&self, a: usize, b: usize) -> bool {
         self.package_of(a) == self.package_of(b)
     }
