@@ -50,11 +50,6 @@ pub struct MachineConfig {
     /// Run the differential scheduler oracle beside every `schedule()`
     /// call. Pure observation: enabling it never changes the schedule.
     pub oracle: bool,
-    /// Policy-runtime watchdog: eject an interpreted policy that picks
-    /// idle this many *consecutive* decisions while a runnable,
-    /// unclaimed task sits on the run queue. Ignored for native
-    /// schedulers.
-    pub policy_starve_k: u32,
     /// This machine's node id in a federated cluster (0 for the first
     /// node and for every standalone run). Purely an identity: it labels
     /// per-node sections of the merged cluster report and error
@@ -78,8 +73,8 @@ pub struct MachineConfig {
     pub decision_trace: bool,
     /// Learned-scheduler watchdog: eject a `learned:<model>` scheduler
     /// after this many *consecutive* mispredictions (the accuracy-
-    /// collapse analogue of [`MachineConfig::policy_starve_k`]). Ignored
-    /// for native and policy schedulers.
+    /// collapse analogue of a policy's starvation streak). Ignored for
+    /// native and policy schedulers.
     pub learn_eject_k: u32,
     /// Wall-clock-only busy-work multiplier on the event dispatch loop,
     /// used by the CI engine job to prove the `wall_ratio` gate trips.
@@ -106,7 +101,6 @@ impl MachineConfig {
             faults: None,
             fault_seed: 0xFA17_5EED,
             oracle: false,
-            policy_starve_k: 8,
             policy_backend: None,
             node_id: 0,
             engine_metrics: false,
@@ -191,13 +185,6 @@ impl MachineConfig {
     /// Builder-style oracle enablement.
     pub fn with_oracle(mut self, on: bool) -> Self {
         self.oracle = on;
-        self
-    }
-
-    /// Builder-style override of the policy starvation-watchdog
-    /// threshold (consecutive idle picks with runnable work queued).
-    pub fn with_policy_starve_k(mut self, k: u32) -> Self {
-        self.policy_starve_k = k.max(1);
         self
     }
 

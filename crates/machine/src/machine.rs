@@ -4,11 +4,11 @@ use elsc_chaos::{
     check_task_invariants, ChaosSummary, Decision, DivergenceClass, FaultInjector, IpiFault,
     Oracle, OracleMode, TaskSnap,
 };
-use elsc_ktask::{CpuId, TaskSpec, TaskState, TaskTable, Tid};
+use elsc_ktask::{CpuId, MmId, SchedClass, Task, TaskSpec, TaskState, TaskTable, Tid};
 use elsc_netsim::{Msg, PipeError, PipeId, PipeTable};
 use elsc_sched_api::{
-    reschedule_idle, CpuView, DomainAcquire, DomainLocker, LockDomains, LockPlan, LockScratch,
-    PolicyBackend, SchedCtx, Scheduler, WakeTarget,
+    candidate_features, reschedule_idle, CpuView, DomainAcquire, DomainLocker, LearnedInfo,
+    LockDomains, LockPlan, LockScratch, PolicyLoadInfo, Recency, SchedCtx, Scheduler, WakeTarget,
 };
 use elsc_simcore::{CostKind, CycleMeter, Cycles, EventQueue, LockModel, SimRng};
 use elsc_stats::SchedStats;
@@ -120,6 +120,21 @@ struct TaskRun {
     rng: SimRng,
 }
 
+impl TaskRun {
+    fn new(behavior: Option<Box<dyn Behavior>>, polls_left: u32, rng: SimRng) -> TaskRun {
+        TaskRun {
+            behavior,
+            pending: None,
+            last_read: None,
+            last_spawned: None,
+            migrate_penalty: 0,
+            polls_left,
+            woken_at: None,
+            rng,
+        }
+    }
+}
+
 /// What the trampoline should do next (avoids unbounded recursion between
 /// `schedule` and task execution).
 enum Drive {
@@ -127,46 +142,114 @@ enum Drive {
     RunCurrent(Cycles),
 }
 
-/// Watchdog state for a run driven by an interpreted policy scheduler
-/// (one that reports [`Scheduler::loaded_info`]). `None` on native runs,
-/// so they stay byte-identical to the pre-policy machine.
-struct PolicyRun {
-    /// The policy's reported name (`policy:<name>`), kept across
-    /// ejection so the report names what the run was asked to do.
-    name: &'static str,
-    /// Verifier's static worst-case instruction bound.
-    static_insns: u64,
-    /// Per-decision runtime instruction budget.
-    budget: u64,
-    /// Which backend executed the policy (`interp` or `vm`).
-    backend: PolicyBackend,
-    /// Consecutive idle picks with runnable, unclaimed work queued.
-    starve_streak: u32,
-    /// Set once the watchdog fires: `(when, why)`. The policy scheduler
-    /// is gone by then; `insns_final` froze its instruction count.
-    ejected: Option<(Cycles, &'static str)>,
-    /// Interpreter instructions executed up to ejection.
-    insns_final: u64,
+/// The chaos oracle's snapshot of one decision's inputs, frozen before
+/// the scheduler under test runs.
+struct OracleProbe {
+    snaps: Vec<TaskSnap>,
+    prev_mm: MmId,
+    prev_yielded: bool,
+    prev_runnable: bool,
+    /// `prev`'s CPU's yield-rerun count before the decision.
+    reruns_before: u64,
 }
 
-/// Watchdog state for a run driven by a learned scheduler (one that
-/// reports [`Scheduler::learned_info`]). `None` on native and policy
-/// runs, so they stay byte-identical to the pre-learned machine.
-struct LearnedRun {
-    /// The scheduler's reported name (`learned:<model>`), kept across
-    /// ejection so the report names what the run was asked to do.
-    name: &'static str,
-    /// Model architecture label (`logreg` or `mlp`).
-    arch: &'static str,
-    /// Consecutive verified mispredictions.
-    miss_streak: u32,
-    /// Set once the watchdog fires: `(when, why)`. The learned scheduler
-    /// is gone by then; the `final_*` fields froze its counters.
+/// Consecutive idle picks over runnable, unclaimed work that eject a
+/// policy for starvation.
+const POLICY_STARVE_K: u32 = 8;
+
+/// The load facts a supervised scheduler announced, by kind.
+#[derive(Clone, Copy)]
+enum SupervisedKind {
+    Policy(PolicyLoadInfo),
+    Learned(LearnedInfo),
+}
+
+/// What one decision says about a supervised scheduler's health.
+enum Verdict {
+    /// The decision was sound: the strike streak resets.
+    Healthy,
+    /// The decision was bad; enough of these in a row eject.
+    Strike(&'static str),
+    /// The scheduler broke its contract: eject now.
+    Eject(&'static str),
+    /// The decision says nothing either way (a learned scheduler that
+    /// made no prediction): the streak stands.
+    NoEvidence,
+}
+
+/// Watchdog state for a run driven by a scheduler the machine may eject:
+/// an interpreted policy or a learned model. `None` on native runs, so
+/// they stay byte-identical to the unsupervised machine.
+struct Supervised {
+    kind: SupervisedKind,
+    /// Consecutive strikes: starving idle picks (policy) or verified
+    /// mispredictions (learned).
+    streak: u32,
+    /// The streak that ejects.
+    strike_limit: u32,
+    /// Set once the watchdog fires: `(when, why)`. The supervised
+    /// scheduler is gone by then; `frozen` holds its counters.
     ejected: Option<(Cycles, &'static str)>,
-    /// Predictions made up to ejection.
-    final_predictions: u64,
-    /// Verified hits up to ejection.
-    final_hits: u64,
+    /// [`Supervised::counters`] at ejection.
+    frozen: (u64, u64),
+}
+
+impl Supervised {
+    /// The supervision record for `sched`, if it is a policy or a model.
+    fn of(sched: &dyn Scheduler, learn_eject_k: u32) -> Option<Supervised> {
+        let (kind, strike_limit) = match (sched.loaded_info(), sched.learned_info()) {
+            (Some(p), _) => (SupervisedKind::Policy(p), POLICY_STARVE_K),
+            (None, Some(l)) => (SupervisedKind::Learned(l), learn_eject_k),
+            (None, None) => return None,
+        };
+        Some(Supervised {
+            kind,
+            streak: 0,
+            strike_limit,
+            ejected: None,
+            frozen: (0, 0),
+        })
+    }
+
+    /// The scheduler's reported name (`policy:<name>`,
+    /// `learned:<model>`), kept across ejection so the report names what
+    /// the run was asked to do.
+    fn name(&self) -> &'static str {
+        match self.kind {
+            SupervisedKind::Policy(p) => p.name,
+            SupervisedKind::Learned(l) => l.name,
+        }
+    }
+
+    /// Folds one decision's verdict into the strike streak. Returns why
+    /// to eject when the verdict or the streak calls for it.
+    fn record(&mut self, verdict: Verdict) -> Option<&'static str> {
+        match verdict {
+            Verdict::Healthy => {
+                self.streak = 0;
+                None
+            }
+            Verdict::NoEvidence => None,
+            Verdict::Strike(reason) => {
+                self.streak += 1;
+                (self.streak >= self.strike_limit).then_some(reason)
+            }
+            Verdict::Eject(reason) => Some(reason),
+        }
+    }
+
+    /// The supervised scheduler's own counters: `(insns_executed, 0)`
+    /// for a policy, `(predictions, hits)` for a model — live from
+    /// `sched` until ejection, frozen after.
+    fn counters(&self, sched: &dyn Scheduler) -> (u64, u64) {
+        if self.ejected.is_some() {
+            return self.frozen;
+        }
+        match self.kind {
+            SupervisedKind::Policy(_) => (sched.policy_insns_executed(), 0),
+            SupervisedKind::Learned(_) => sched.prediction_stats(),
+        }
+    }
 }
 
 /// The simulated machine.
@@ -204,16 +287,11 @@ pub struct Machine {
     injector: Option<FaultInjector>,
     /// Chaos: the differential scheduler oracle (None = not judging).
     oracle: Option<Oracle>,
-    /// Policy runtime: watchdog state (None = native scheduler).
-    policy: Option<PolicyRun>,
-    /// Learned scheduler: watchdog state (None = not a learned run).
-    learned: Option<LearnedRun>,
-    /// Decision counter for `--decision-trace` recency features. Only
+    /// Watchdog state of a policy or learned run (None = native).
+    supervised: Option<Supervised>,
+    /// Recency bookkeeping for `--decision-trace` feature rows. Only
     /// advanced while tracing, so untraced runs carry no extra state.
-    trace_decisions: u64,
-    /// Per-task decision index of the last traced win, for the recency
-    /// feature column.
-    trace_last_picked: std::collections::HashMap<Tid, u64>,
+    trace_recency: Recency,
     now: Cycles,
     live_users: usize,
     last_exit: Cycles,
@@ -250,16 +328,7 @@ impl Machine {
                 t.processor = id;
                 t.has_cpu = true;
                 grow_to(&mut runs, idle.index());
-                runs[idle.index()] = Some(TaskRun {
-                    behavior: None,
-                    pending: None,
-                    last_read: None,
-                    last_spawned: None,
-                    migrate_penalty: 0,
-                    polls_left: 0,
-                    woken_at: None,
-                    rng: rng.fork(),
-                });
+                runs[idle.index()] = Some(TaskRun::new(None, 0, rng.fork()));
                 CpuState::new(id, idle)
             })
             .collect();
@@ -280,23 +349,7 @@ impl Machine {
         if let Some(backend) = cfg.policy_backend {
             sched.set_policy_backend(backend);
         }
-        let policy = sched.loaded_info().map(|info| PolicyRun {
-            name: info.name,
-            static_insns: info.static_insns,
-            budget: info.budget,
-            backend: info.backend,
-            starve_streak: 0,
-            ejected: None,
-            insns_final: 0,
-        });
-        let learned = sched.learned_info().map(|info| LearnedRun {
-            name: info.name,
-            arch: info.arch,
-            miss_streak: 0,
-            ejected: None,
-            final_predictions: 0,
-            final_hits: 0,
-        });
+        let supervised = Supervised::of(sched.as_ref(), cfg.learn_eject_k);
         Machine {
             cfg,
             tasks,
@@ -317,10 +370,8 @@ impl Machine {
             kernel_cycles: 0,
             injector,
             oracle,
-            policy,
-            learned,
-            trace_decisions: 0,
-            trace_last_picked: std::collections::HashMap::new(),
+            supervised,
+            trace_recency: Recency::default(),
             now: Cycles::ZERO,
             live_users: 0,
             last_exit: Cycles::ZERO,
@@ -353,17 +404,8 @@ impl Machine {
         let cpu = (self.tasks.total_spawned() as usize) % self.cfg.nr_cpus();
         self.tasks.task_mut(tid).processor = cpu;
         grow_to(&mut self.runs, tid.index());
-        let rng = self.rng.fork();
-        self.runs[tid.index()] = Some(TaskRun {
-            behavior: Some(behavior),
-            pending: None,
-            last_read: None,
-            last_spawned: None,
-            migrate_penalty: 0,
-            polls_left: self.cfg.io_poll_yields,
-            woken_at: None,
-            rng,
-        });
+        let run = TaskRun::new(Some(behavior), self.cfg.io_poll_yields, self.rng.fork());
+        self.runs[tid.index()] = Some(run);
         self.live_users += 1;
         tid
     }
@@ -534,24 +576,19 @@ impl Machine {
     /// Pushes the boot events every run starts from: one armed tick and
     /// one reschedule IPI per CPU.
     fn boot_events(&mut self) {
-        if let Some(p) = &self.policy {
-            self.bus.emit_at(
-                Cycles::ZERO,
-                ObsEvent::PolicyLoaded {
+        if let Some(s) = &self.supervised {
+            let loaded = match s.kind {
+                SupervisedKind::Policy(p) => ObsEvent::PolicyLoaded {
                     policy: p.name,
                     insns: p.static_insns,
                     budget: p.budget,
                 },
-            );
-        }
-        if let Some(l) = &self.learned {
-            self.bus.emit_at(
-                Cycles::ZERO,
-                ObsEvent::LearnedLoaded {
+                SupervisedKind::Learned(l) => ObsEvent::LearnedLoaded {
                     model: l.name,
                     arch: l.arch,
                 },
-            );
+            };
+            self.bus.emit_at(Cycles::ZERO, loaded);
         }
         for cpu in 0..self.cfg.nr_cpus() {
             self.push_event(self.cfg.tick_cycles.into(), Event::Tick { cpu });
@@ -821,11 +858,9 @@ impl Machine {
             // original name: the run *was* that scheduler plus its
             // ejection.
             scheduler: self
-                .policy
+                .supervised
                 .as_ref()
-                .map(|p| p.name)
-                .or_else(|| self.learned.as_ref().map(|l| l.name))
-                .unwrap_or_else(|| self.sched.name()),
+                .map_or_else(|| self.sched.name(), Supervised::name),
             config: self.cfg.label(),
             seed: self.cfg.seed,
             elapsed: self.last_exit,
@@ -859,35 +894,33 @@ impl Machine {
             } else {
                 None
             },
-            policy: self.policy.as_ref().map(|p| PolicySummary {
-                name: p.name,
-                static_insns: p.static_insns,
-                budget: p.budget,
-                backend: p.backend.label(),
-                insns_executed: if p.ejected.is_some() {
-                    p.insns_final
-                } else {
-                    self.sched.policy_insns_executed()
-                },
-                ejected: p.ejected.is_some(),
-                ejected_at: p.ejected.map(|(at, _)| at),
-                eject_reason: p.ejected.map(|(_, r)| r),
+            policy: self.supervised.as_ref().and_then(|s| match s.kind {
+                SupervisedKind::Policy(p) => Some(PolicySummary {
+                    name: p.name,
+                    static_insns: p.static_insns,
+                    budget: p.budget,
+                    backend: p.backend.label(),
+                    insns_executed: s.counters(self.sched.as_ref()).0,
+                    ejected: s.ejected.is_some(),
+                    ejected_at: s.ejected.map(|(at, _)| at),
+                    eject_reason: s.ejected.map(|(_, r)| r),
+                }),
+                SupervisedKind::Learned(_) => None,
             }),
-            learned: self.learned.as_ref().map(|l| {
-                let (predictions, hits) = if l.ejected.is_some() {
-                    (l.final_predictions, l.final_hits)
-                } else {
-                    self.sched.prediction_stats()
-                };
-                LearnedSummary {
-                    name: l.name,
-                    arch: l.arch,
-                    predictions,
-                    hits,
-                    ejected: l.ejected.is_some(),
-                    ejected_at: l.ejected.map(|(at, _)| at),
-                    eject_reason: l.ejected.map(|(_, r)| r),
+            learned: self.supervised.as_ref().and_then(|s| match s.kind {
+                SupervisedKind::Learned(l) => {
+                    let (predictions, hits) = s.counters(self.sched.as_ref());
+                    Some(LearnedSummary {
+                        name: l.name,
+                        arch: l.arch,
+                        predictions,
+                        hits,
+                        ejected: s.ejected.is_some(),
+                        ejected_at: s.ejected.map(|(at, _)| at),
+                        eject_reason: s.ejected.map(|(_, r)| r),
+                    })
                 }
+                SupervisedKind::Policy(_) => None,
             }),
             engine: if self.cfg.engine_metrics {
                 let events = self.events.total_popped();
@@ -982,42 +1015,24 @@ impl Machine {
                 if task.counter > 0 {
                     task.counter -= 1;
                 }
-                // An expired quantum forces a reschedule for timesharing
-                // tasks and SCHED_RR; SCHED_FIFO runs until it blocks.
-                task.counter == 0
-                    && (!task.policy.class.is_realtime()
-                        || task.policy.class == elsc_ktask::SchedClass::Rr)
+                quantum_expired(&task)
             };
             if expired {
                 self.cpus[cpu].need_resched = true;
             }
             // Policy tick hook: runs after the machine's own quantum
             // bookkeeping. Gated on an active interpreted policy, so
-            // native runs never see the extra call and stay
+            // native and learned runs never see the extra call and stay
             // byte-identical to the pre-policy machine.
-            if self.policy.as_ref().is_some_and(|p| p.ejected.is_none()) {
-                let mut meter = CycleMeter::new();
-                self.bus.set_now(now);
-                {
-                    let mut ctx = SchedCtx {
-                        tasks: &mut self.tasks,
-                        stats: &mut self.stats,
-                        meter: &mut meter,
-                        costs: &self.cfg.costs,
-                        cfg: &self.cfg.sched,
-                        probe: Some(&mut self.bus),
-                        locks: None,
-                    };
-                    self.sched.on_tick(&mut ctx, cpu, cur);
-                }
-                self.charge_kernel_meter(cpu, Phase::Schedule, &meter);
+            if self
+                .supervised
+                .as_ref()
+                .is_some_and(|s| s.ejected.is_none() && matches!(s.kind, SupervisedKind::Policy(_)))
+            {
+                self.unlocked(cpu, now, |sched, ctx| sched.on_tick(ctx, cpu, cur));
                 // The hook may have zeroed the running task's counter;
                 // honour the expired quantum exactly as above.
-                let task = self.tasks.task(cur);
-                if task.counter == 0
-                    && (!task.policy.class.is_realtime()
-                        || task.policy.class == elsc_ktask::SchedClass::Rr)
-                {
+                if quantum_expired(self.tasks.task(cur)) {
                     self.cpus[cpu].need_resched = true;
                 }
             }
@@ -1102,155 +1117,18 @@ impl Machine {
     fn do_schedule(&mut self, cpu: CpuId, t: Cycles) -> Option<Cycles> {
         let prev = self.cpus[cpu].current;
         let idle = self.cpus[cpu].idle;
-        // CPU time accounting for the outgoing occupancy.
-        if prev != idle {
-            if let Some(s) = self.cpus[cpu].running_since.take() {
-                self.stats.cpu_mut(cpu).work_cycles += t.saturating_sub(s).get();
-            }
-        } else {
-            let s = self.cpus[cpu].idle_since;
-            self.stats.cpu_mut(cpu).idle_cycles += t.saturating_sub(s).get();
-        }
-
-        // The run-queue lock plan covers the whole decision (SMP builds):
-        // the home domain — this CPU's queue — is taken up front; any
-        // further domain a sharded scheduler needs mid-call (a steal) is
-        // taken through the ctx's `DomainLocker` and logged.
+        self.account_occupancy(cpu, t);
         let depth = self.sched.nr_running() as u64;
         self.dists.record("runqueue_len", depth);
         self.bus
             .emit_at(t, ObsEvent::QueueDepthSample { cpu, depth });
-        // Decision trace: snapshot every eligible candidate's features
-        // *before* the scheduler runs (it mutates counters and yield
-        // bits). The burst plus the closing `sched_decision` below is one
-        // supervised training row for `elsc-learn`. Pure observation.
         if self.cfg.decision_trace {
-            self.trace_decisions += 1;
-            let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
-            let prev_mm = self.tasks.task(prev).mm;
-            let topo = self.cfg.sched.topology;
-            for task in self.tasks.iter() {
-                let eligible = task.state.is_runnable()
-                    && !idles.contains(&task.tid)
-                    && (task.tid == prev || !task.has_cpu);
-                if !eligible {
-                    continue;
-                }
-                let recency = self
-                    .trace_last_picked
-                    .get(&task.tid)
-                    .map_or(255, |&won| (self.trace_decisions - won).min(255));
-                self.bus.emit_at(
-                    t,
-                    ObsEvent::SchedCandidate {
-                        cpu,
-                        tid: task.tid,
-                        counter: task.counter.max(0) as u64,
-                        priority: task.priority.max(0) as u64,
-                        rt: task.policy.class.is_realtime() as u64,
-                        mm_match: (task.mm == prev_mm) as u64,
-                        affinity: elsc_sched_api::topo_affinity_bonus(&topo, cpu, task.processor)
-                            .max(0) as u64,
-                        recency,
-                    },
-                );
-            }
+            self.trace_candidates(cpu, prev, depth, t);
         }
-        // Chaos oracle: freeze the runnable set and prev's scheduling
-        // state *before* the scheduler under test runs (it may mutate
-        // counters, clear SCHED_YIELD, or recalculate). Idle tasks are
-        // excluded; tasks executing elsewhere carry `has_cpu` so the
-        // reference scan can apply `can_schedule()` itself.
-        let probe = if self.oracle.is_some() {
-            let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
-            let snaps: Vec<TaskSnap> = self
-                .tasks
-                .iter()
-                .filter(|task| task.state.is_runnable() && !idles.contains(&task.tid))
-                .map(TaskSnap::of)
-                .collect();
-            let pt = self.tasks.task(prev);
-            Some((
-                snaps,
-                pt.mm,
-                pt.policy.yielded,
-                pt.state.is_runnable(),
-                self.stats.cpu(cpu).yield_reruns,
-            ))
-        } else {
-            None
-        };
-        let (t_acq, home) = if self.cfg.sched.smp {
-            self.acquire_home_domain(cpu, cpu, t)
-        } else {
-            (t, 0)
-        };
-        let mut meter = CycleMeter::new();
-        self.bus.set_now(t_acq);
-        let mut domains = if self.cfg.sched.smp {
-            Some(LockDomains::new(
-                &mut self.locks,
-                self.plan,
-                self.cfg.sched.nr_cpus,
-                cpu,
-                t_acq,
-                home,
-                &mut self.lock_scratch,
-            ))
-        } else {
-            None
-        };
-        let next = {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut meter,
-                costs: &self.cfg.costs,
-                cfg: &self.cfg.sched,
-                probe: Some(&mut self.bus),
-                locks: domains.as_mut().map(|d| d as &mut dyn DomainLocker),
-            };
-            self.sched.schedule(&mut ctx, cpu, prev, idle)
-        };
-        // Chaos: a delayed lock holder stretches the held interval beyond
-        // the work the call actually did, so every other CPU contending
-        // for the domain spins correspondingly longer (SMP builds only —
-        // there is no held domain to delay on UP).
-        let hold_extra = match self.injector.as_mut() {
-            Some(inj) if domains.is_some() => inj.lock_hold(meter.cycles()).unwrap_or(0),
-            _ => 0,
-        };
-        // Release every held domain before any further `&mut self` work:
-        // the domain set borrows the lock bank. Mid-call spins stretch
-        // the call, so they are part of the held interval.
-        let (extra_spin, n_taken) = match domains {
-            Some(d) => {
-                let extra = d.extra_spin();
-                let taken = d.release_all(t_acq + meter.cycles() + extra + hold_extra);
-                (extra, taken.len())
-            }
-            None => (0, 0),
-        };
-        self.charge_kernel_meter(cpu, Phase::Schedule, &meter);
-        if hold_extra > 0 {
-            // The extra held time is real CPU time on the holder; charge
-            // it as lock-domain cycles so the conservation invariant
-            // (`kernel_cycles == profiler.total()`) keeps holding.
-            self.bus.emit_at(
-                t_acq,
-                ObsEvent::FaultInjected {
-                    cpu,
-                    fault: "lock_hold",
-                },
-            );
-            self.charge_kernel_raw(cpu, Phase::LockSpin, hold_extra);
-        }
-        let cycles = meter.take();
-        let t_done = t_acq + cycles + extra_spin + hold_extra;
-        for k in 0..n_taken {
-            let a = self.lock_scratch.taken()[k];
-            self.account_domain_acquire(cpu, a);
-        }
+        let probe = self.oracle.is_some().then(|| self.oracle_probe(cpu, prev));
+        let (next, cycles, t_done) = self.locked(cpu, cpu, Phase::Schedule, t, |sched, ctx| {
+            sched.schedule(ctx, cpu, prev, idle)
+        });
         self.stats.cpu_mut(cpu).sched_cycles += cycles;
         // Close the decision-trace burst with the label: what the
         // scheduler actually picked, and at what queue depth.
@@ -1265,99 +1143,345 @@ impl Machine {
                 },
             );
             if next != idle {
-                self.trace_last_picked.insert(next, self.trace_decisions);
+                self.trace_recency.won(next);
             }
         }
-        // Chaos oracle: replay the reference O(n) scan over the frozen
-        // snapshot, classify this decision, and check the run-queue
-        // invariants the scheduler must have preserved. Pure observation:
-        // no simulated cycles are charged and no task state is touched.
-        if let Some((snaps, prev_mm, prev_yielded, prev_runnable, reruns_before)) = probe {
-            let d = Decision {
-                cpu,
-                prev,
-                idle,
-                prev_mm,
-                prev_yielded,
-                prev_runnable,
-                chosen: next,
-                yield_rerun: self.stats.cpu(cpu).yield_reruns > reruns_before,
-                search_limit: self.cfg.sched.search_limit(),
-                smp: self.cfg.sched.smp,
-                topology: self.cfg.sched.topology,
-                snaps: &snaps,
-            };
-            let v = self
-                .oracle
-                .as_mut()
-                .expect("probe implies oracle")
-                .judge_full(&d);
-            if v.class != DivergenceClass::Match {
-                self.bus.emit_at(
-                    t_done,
-                    ObsEvent::OracleDivergence {
-                        cpu,
-                        chosen: next,
-                        expected: v.expected,
-                        class: v.class.label(),
-                    },
-                );
-            }
-            let violations = check_task_invariants(&self.tasks);
-            if !violations.is_empty() {
-                self.oracle
-                    .as_mut()
-                    .expect("probe implies oracle")
-                    .record_violations(&violations);
-            }
+        if let Some(probe) = probe {
+            self.judge(probe, cpu, prev, idle, next, t_done);
         }
-        // Policy watchdog. A policy that violated its contract this
-        // decision (budget blowout, illegal pick, corrupted state) or
-        // picked idle over a runnable, unclaimed task for
-        // `policy_starve_k` consecutive decisions is deterministically
-        // ejected: the vanilla baseline scheduler takes over from the
-        // *next* decision. The pick for this decision stands — the
-        // policy host already substituted a legal one.
-        if self.policy.as_ref().is_some_and(|p| p.ejected.is_none()) {
-            if let Some(v) = self.sched.take_violation() {
-                self.eject_policy(cpu, t_done, v.label());
-            } else {
-                let starving = next == idle
-                    && self.tasks.iter().any(|task| {
-                        task.on_runqueue() && task.state.is_runnable() && !task.has_cpu
-                    });
-                let p = self.policy.as_mut().expect("checked above");
-                if !starving {
-                    p.starve_streak = 0;
-                } else {
-                    p.starve_streak += 1;
-                    if p.starve_streak >= self.cfg.policy_starve_k {
-                        self.eject_policy(cpu, t_done, "starvation");
-                    }
-                }
-            }
-        }
-        // Learned watchdog: the accuracy-collapse analogue of the policy
-        // starvation check. A model whose verified prediction fails
-        // `learn_eject_k` consecutive decisions is deterministically
-        // ejected; the pick for this decision stands — the scheduler's
-        // fallback scan already substituted the native choice.
-        if self.learned.as_ref().is_some_and(|l| l.ejected.is_none()) {
-            if let Some(hit) = self.sched.take_prediction() {
-                let l = self.learned.as_mut().expect("checked above");
-                if hit {
-                    l.miss_streak = 0;
-                } else {
-                    l.miss_streak += 1;
-                    if l.miss_streak >= self.cfg.learn_eject_k {
-                        self.eject_learned(cpu, t_done, "accuracy_collapse");
-                    }
-                }
-            }
-        }
+        self.supervise(cpu, t_done, next, idle);
         self.cpus[cpu].need_resched = false;
         self.cpus[cpu].gen += 1; // cancel any outstanding Resume
+        self.switch_to(cpu, prev, next, t_done)
+    }
 
+    /// CPU time accounting for the occupancy ending at `t`: the outgoing
+    /// task's work, or the idle stretch.
+    fn account_occupancy(&mut self, cpu: CpuId, t: Cycles) {
+        let c = &mut self.cpus[cpu];
+        if c.current != c.idle {
+            if let Some(s) = c.running_since.take() {
+                self.stats.cpu_mut(cpu).work_cycles += t.saturating_sub(s).get();
+            }
+        } else {
+            let s = c.idle_since;
+            self.stats.cpu_mut(cpu).idle_cycles += t.saturating_sub(s).get();
+        }
+    }
+
+    /// Decision trace: emits every eligible candidate's feature row
+    /// *before* the scheduler runs (it mutates counters and yield bits).
+    /// The burst plus the closing `sched_decision` is one supervised
+    /// training row for `elsc-learn`. Pure observation.
+    fn trace_candidates(&mut self, cpu: CpuId, prev: Tid, depth: u64, t: Cycles) {
+        self.trace_recency.next_decision();
+        let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
+        let prev_mm = self.tasks.task(prev).mm;
+        let topo = self.cfg.sched.topology;
+        for task in self.tasks.iter() {
+            let eligible = task.state.is_runnable()
+                && !idles.contains(&task.tid)
+                && (task.tid == prev || !task.has_cpu);
+            if !eligible {
+                continue;
+            }
+            let recency = self.trace_recency.of(task.tid);
+            let [_, counter, priority, rt, mm_match, affinity, recency] =
+                candidate_features(task, cpu, prev_mm, &topo, depth, recency).map(|f| f as u64);
+            self.bus.emit_at(
+                t,
+                ObsEvent::SchedCandidate {
+                    cpu,
+                    tid: task.tid,
+                    counter,
+                    priority,
+                    rt,
+                    mm_match,
+                    affinity,
+                    recency,
+                },
+            );
+        }
+    }
+
+    /// Chaos oracle: freezes the runnable set and prev's scheduling
+    /// state *before* the scheduler under test runs (it may mutate
+    /// counters, clear SCHED_YIELD, or recalculate). Idle tasks are
+    /// excluded; tasks executing elsewhere carry `has_cpu` so the
+    /// reference scan can apply `can_schedule()` itself.
+    fn oracle_probe(&self, cpu: CpuId, prev: Tid) -> OracleProbe {
+        let idles: Vec<Tid> = self.cpus.iter().map(|c| c.idle).collect();
+        let snaps = self
+            .tasks
+            .iter()
+            .filter(|task| task.state.is_runnable() && !idles.contains(&task.tid))
+            .map(TaskSnap::of)
+            .collect();
+        let pt = self.tasks.task(prev);
+        OracleProbe {
+            snaps,
+            prev_mm: pt.mm,
+            prev_yielded: pt.policy.yielded,
+            prev_runnable: pt.state.is_runnable(),
+            reruns_before: self.stats.cpu(cpu).yield_reruns,
+        }
+    }
+
+    /// Runs `call` on the scheduler under the run-queue lock plan, on
+    /// `cpu`'s timeline from `t`, and charges its work to `cpu`'s
+    /// `phase`. On SMP builds the home domain guarding `queue_cpu`'s
+    /// queue is taken up front, any further domain the call needs
+    /// mid-way (a steal) through the ctx's `DomainLocker`, and all are
+    /// released when the call's metered work is done. Returns the call's
+    /// result, its metered cycles, and the instant the locks are
+    /// released.
+    fn locked<R>(
+        &mut self,
+        cpu: CpuId,
+        queue_cpu: CpuId,
+        phase: Phase,
+        t: Cycles,
+        call: impl FnOnce(&mut dyn Scheduler, &mut SchedCtx<'_>) -> R,
+    ) -> (R, u64, Cycles) {
+        let (t_acq, home) = if self.cfg.sched.smp {
+            self.acquire_home_domain(queue_cpu, cpu, t)
+        } else {
+            (t, 0)
+        };
+        let mut meter = CycleMeter::new();
+        self.bus.set_now(t_acq);
+        let mut domains = self.cfg.sched.smp.then(|| {
+            LockDomains::new(
+                &mut self.locks,
+                self.plan,
+                self.cfg.sched.nr_cpus,
+                cpu,
+                t_acq,
+                home,
+                &mut self.lock_scratch,
+            )
+        });
+        let r = {
+            let mut ctx = SchedCtx {
+                tasks: &mut self.tasks,
+                stats: &mut self.stats,
+                meter: &mut meter,
+                costs: &self.cfg.costs,
+                cfg: &self.cfg.sched,
+                probe: Some(&mut self.bus),
+                locks: domains.as_mut().map(|d| d as &mut dyn DomainLocker),
+            };
+            call(self.sched.as_mut(), &mut ctx)
+        };
+        // Chaos: a delayed lock holder stretches a `schedule()` call's
+        // held interval beyond the work the call actually did, so every
+        // other CPU contending for the domain spins correspondingly
+        // longer (SMP builds only — there is no held domain to delay on
+        // UP).
+        let hold_extra = match self.injector.as_mut() {
+            Some(inj) if phase == Phase::Schedule && domains.is_some() => {
+                inj.lock_hold(meter.cycles()).unwrap_or(0)
+            }
+            _ => 0,
+        };
+        // Release every held domain before any further `&mut self` work:
+        // the domain set borrows the lock bank. Mid-call spins stretch
+        // the call, so they are part of the held interval.
+        let (extra_spin, n_taken) = match domains {
+            Some(d) => {
+                let extra = d.extra_spin();
+                let taken = d.release_all(t_acq + meter.cycles() + extra + hold_extra);
+                (extra, taken.len())
+            }
+            None => (0, 0),
+        };
+        self.charge_kernel_meter(cpu, phase, &meter);
+        if hold_extra > 0 {
+            // The extra held time is real CPU time on the holder; charge
+            // it as lock-domain cycles so the conservation invariant
+            // (`kernel_cycles == profiler.total()`) keeps holding.
+            self.bus.emit_at(
+                t_acq,
+                ObsEvent::FaultInjected {
+                    cpu,
+                    fault: "lock_hold",
+                },
+            );
+            self.charge_kernel_raw(cpu, Phase::LockSpin, hold_extra);
+        }
+        let cycles = meter.take();
+        for k in 0..n_taken {
+            let a = self.lock_scratch.taken()[k];
+            self.account_domain_acquire(cpu, a);
+        }
+        (r, cycles, t_acq + cycles + extra_spin + hold_extra)
+    }
+
+    /// Chaos oracle: replays the reference O(n) scan over the frozen
+    /// snapshot, classifies this decision, and checks the run-queue
+    /// invariants the scheduler must have preserved. Pure observation:
+    /// no simulated cycles are charged and no task state is touched.
+    fn judge(
+        &mut self,
+        probe: OracleProbe,
+        cpu: CpuId,
+        prev: Tid,
+        idle: Tid,
+        next: Tid,
+        t_done: Cycles,
+    ) {
+        let d = Decision {
+            cpu,
+            prev,
+            idle,
+            prev_mm: probe.prev_mm,
+            prev_yielded: probe.prev_yielded,
+            prev_runnable: probe.prev_runnable,
+            chosen: next,
+            yield_rerun: self.stats.cpu(cpu).yield_reruns > probe.reruns_before,
+            search_limit: self.cfg.sched.search_limit(),
+            smp: self.cfg.sched.smp,
+            topology: self.cfg.sched.topology,
+            snaps: &probe.snaps,
+        };
+        let oracle = self.oracle.as_mut().expect("probe implies oracle");
+        let v = oracle.judge_full(&d);
+        if v.class != DivergenceClass::Match {
+            self.bus.emit_at(
+                t_done,
+                ObsEvent::OracleDivergence {
+                    cpu,
+                    chosen: next,
+                    expected: v.expected,
+                    class: v.class.label(),
+                },
+            );
+        }
+        let violations = check_task_invariants(&self.tasks);
+        if !violations.is_empty() {
+            self.oracle
+                .as_mut()
+                .expect("probe implies oracle")
+                .record_violations(&violations);
+        }
+    }
+
+    /// The watchdog: turns this decision into a [`Verdict`] on the
+    /// supervised scheduler and ejects it on a contract violation or
+    /// `strike_limit` strikes in a row. The pick for this decision
+    /// stands either way — a policy host or a learned fallback already
+    /// substituted a legal one; the baseline takes over from the *next*
+    /// decision.
+    fn supervise(&mut self, cpu: CpuId, t_done: Cycles, next: Tid, idle: Tid) {
+        let Some(kind) = self
+            .supervised
+            .as_ref()
+            .filter(|s| s.ejected.is_none())
+            .map(|s| s.kind)
+        else {
+            return;
+        };
+        let verdict = match kind {
+            // A violation (budget blowout, illegal pick, corrupted
+            // state) ejects at once; an idle pick over a runnable,
+            // unclaimed task is a starvation strike.
+            SupervisedKind::Policy(_) => match self.sched.take_violation() {
+                Some(v) => Verdict::Eject(v.label()),
+                None if next == idle
+                    && self.tasks.iter().any(|task| {
+                        task.on_runqueue() && task.state.is_runnable() && !task.has_cpu
+                    }) =>
+                {
+                    Verdict::Strike("starvation")
+                }
+                None => Verdict::Healthy,
+            },
+            // A verified misprediction is an accuracy strike; a decision
+            // without a prediction is no evidence either way.
+            SupervisedKind::Learned(_) => match self.sched.take_prediction() {
+                Some(true) => Verdict::Healthy,
+                Some(false) => Verdict::Strike("accuracy_collapse"),
+                None => Verdict::NoEvidence,
+            },
+        };
+        let s = self.supervised.as_mut().expect("checked above");
+        if let Some(reason) = s.record(verdict) {
+            self.eject(cpu, t_done, reason);
+        }
+    }
+
+    /// Ejects the supervised scheduler at `t`: freezes its counters,
+    /// emits [`ObsEvent::PolicyEjected`] or [`ObsEvent::LearnedEjected`],
+    /// swaps in the vanilla baseline scheduler, and migrates every queued
+    /// task across with front-to-back order preserved. All list-surgery
+    /// cycles are charged to the ejecting CPU's `Schedule` phase, so the
+    /// conservation invariant keeps holding. Deterministic: the decision
+    /// stream up to this point is seed-determined, so same-seed runs
+    /// eject at the same instant with byte-identical reports.
+    fn eject(&mut self, cpu: CpuId, t: Cycles, reason: &'static str) {
+        let s = self
+            .supervised
+            .as_mut()
+            .expect("eject without a supervised run");
+        s.frozen = s.counters(self.sched.as_ref());
+        s.ejected = Some((t, reason));
+        let ejected = match s.kind {
+            SupervisedKind::Policy(p) => ObsEvent::PolicyEjected {
+                cpu,
+                policy: p.name,
+                reason,
+            },
+            SupervisedKind::Learned(l) => ObsEvent::LearnedEjected {
+                cpu,
+                model: l.name,
+                reason,
+            },
+        };
+        self.bus.emit_at(t, ejected);
+        let mut old = std::mem::replace(
+            &mut self.sched,
+            Box::new(elsc_sched_linux::LinuxScheduler::new()),
+        );
+        self.unlocked(cpu, t, |sched, ctx| {
+            let queued = old.drain(ctx);
+            // The baseline's `add_to_runqueue` inserts at the *front*,
+            // so re-adding in reverse preserves the drained order.
+            for &tid in queued.iter().rev() {
+                sched.add_to_runqueue(ctx, tid);
+            }
+        });
+    }
+
+    /// Runs `call` on the scheduler outside the run-queue lock model
+    /// (the policy tick hook, the ejection swap) at `t`, charging its
+    /// work to `cpu`'s `Schedule` phase.
+    fn unlocked(
+        &mut self,
+        cpu: CpuId,
+        t: Cycles,
+        call: impl FnOnce(&mut dyn Scheduler, &mut SchedCtx<'_>),
+    ) {
+        let mut meter = CycleMeter::new();
+        self.bus.set_now(t);
+        let mut ctx = SchedCtx {
+            tasks: &mut self.tasks,
+            stats: &mut self.stats,
+            meter: &mut meter,
+            costs: &self.cfg.costs,
+            cfg: &self.cfg.sched,
+            probe: Some(&mut self.bus),
+            locks: None,
+        };
+        call(self.sched.as_mut(), &mut ctx);
+        self.charge_kernel_meter(cpu, Phase::Schedule, &meter);
+    }
+
+    /// Switches `cpu` from `prev` to `next` at `t_done`: context and mm
+    /// switch charges, then migration bookkeeping for a user task.
+    /// Returns when `next` starts running, or `None` if the CPU went
+    /// idle.
+    fn switch_to(&mut self, cpu: CpuId, prev: Tid, next: Tid, t_done: Cycles) -> Option<Cycles> {
+        let idle = self.cpus[cpu].idle;
         let mut t2 = t_done;
         // The topological distance this pick makes the task cross (its
         // last CPU → here) must be known *before* the mm-switch charge
@@ -1407,40 +1531,7 @@ impl Machine {
             self.cpus[cpu].idle_since = t2;
             return None;
         }
-        // Migration detection: the scheduler left `processor` untouched.
-        let migrated = {
-            let mut nt = self.tasks.task_mut(next);
-            let m = nt.processor != cpu;
-            nt.processor = cpu;
-            m
-        };
-        if migrated {
-            self.bus.emit_at(
-                t2,
-                ObsEvent::Migrate {
-                    tid: next,
-                    to_cpu: cpu,
-                },
-            );
-            self.stats.cpu_mut(cpu).picked_new_cpu += 1;
-            // Cold-cache penalty, scaled by the distance crossed: SMT
-            // siblings share L1/L2 (quarter cost), node-mates share the
-            // LLC (half), and crossing a node boundary doubles the flat
-            // cost. Flat trees scale 1/1 — the classic model verbatim.
-            let (num, den) = topo.migration_scale(from_cpu, cpu);
-            let base = self.cfg.costs.get(CostKind::MigrationPenalty);
-            self.run_mut(next).migrate_penalty = base * num / den;
-            if !topo.is_flat() {
-                let bucket = if topo.same_core(from_cpu, cpu) {
-                    0
-                } else if topo.same_node(from_cpu, cpu) {
-                    1
-                } else {
-                    2
-                };
-                self.topo_migrations[bucket] += 1;
-            }
-        }
+        self.note_migration(cpu, next, from_cpu, t2);
         if let Some(w) = self.run_mut(next).woken_at.take() {
             self.dists
                 .record("wake_latency", t2.saturating_sub(w).get());
@@ -1449,98 +1540,46 @@ impl Machine {
         Some(t2)
     }
 
-    /// Ejects the active interpreted policy at `t`: freezes its
-    /// instruction count, emits [`ObsEvent::PolicyEjected`], swaps in
-    /// the vanilla baseline scheduler, and migrates every queued task
-    /// across with front-to-back order preserved. All list-surgery
-    /// cycles are charged to the ejecting CPU's `Schedule` phase, so the
-    /// conservation invariant keeps holding. Deterministic: the decision
-    /// stream up to this point is seed-determined, so same-seed runs
-    /// eject at the same instant with byte-identical reports.
-    fn eject_policy(&mut self, cpu: CpuId, t: Cycles, reason: &'static str) {
-        let insns = self.sched.policy_insns_executed();
-        let p = self.policy.as_mut().expect("eject without a policy run");
-        p.insns_final = insns;
-        p.ejected = Some((t, reason));
-        let name = p.name;
+    /// Migration detection for `next`, dispatched on `cpu` at `t` after
+    /// last running on `from_cpu`: the scheduler left `processor`
+    /// untouched, so a mismatch is a migration and arms the cold-cache
+    /// penalty.
+    fn note_migration(&mut self, cpu: CpuId, next: Tid, from_cpu: CpuId, t: Cycles) {
+        let migrated = {
+            let mut nt = self.tasks.task_mut(next);
+            let m = nt.processor != cpu;
+            nt.processor = cpu;
+            m
+        };
+        if !migrated {
+            return;
+        }
         self.bus.emit_at(
             t,
-            ObsEvent::PolicyEjected {
-                cpu,
-                policy: name,
-                reason,
+            ObsEvent::Migrate {
+                tid: next,
+                to_cpu: cpu,
             },
         );
-        let mut old = std::mem::replace(
-            &mut self.sched,
-            Box::new(elsc_sched_linux::LinuxScheduler::new()),
-        );
-        let mut meter = CycleMeter::new();
-        self.bus.set_now(t);
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut meter,
-                costs: &self.cfg.costs,
-                cfg: &self.cfg.sched,
-                probe: Some(&mut self.bus),
-                locks: None,
+        self.stats.cpu_mut(cpu).picked_new_cpu += 1;
+        // Cold-cache penalty, scaled by the distance crossed: SMT
+        // siblings share L1/L2 (quarter cost), node-mates share the LLC
+        // (half), and crossing a node boundary doubles the flat cost.
+        // Flat trees scale 1/1 — the classic model verbatim.
+        let topo = self.cfg.sched.topology;
+        let (num, den) = topo.migration_scale(from_cpu, cpu);
+        let base = self.cfg.costs.get(CostKind::MigrationPenalty);
+        self.run_mut(next).migrate_penalty = base * num / den;
+        if !topo.is_flat() {
+            let bucket = if topo.same_core(from_cpu, cpu) {
+                0
+            } else if topo.same_node(from_cpu, cpu) {
+                1
+            } else {
+                2
             };
-            let queued = old.drain(&mut ctx);
-            // The baseline's `add_to_runqueue` inserts at the *front*,
-            // so re-adding in reverse preserves the drained order.
-            for &tid in queued.iter().rev() {
-                self.sched.add_to_runqueue(&mut ctx, tid);
-            }
+            self.topo_migrations[bucket] += 1;
         }
-        self.charge_kernel_meter(cpu, Phase::Schedule, &meter);
-    }
-
-    /// Ejects the active learned scheduler at `t`: freezes its prediction
-    /// counters, emits [`ObsEvent::LearnedEjected`], swaps in the vanilla
-    /// baseline scheduler, and migrates every queued task across with
-    /// front-to-back order preserved — the same surgery as
-    /// [`Machine::eject_policy`], charged the same way, and equally
-    /// deterministic.
-    fn eject_learned(&mut self, cpu: CpuId, t: Cycles, reason: &'static str) {
-        let (predictions, hits) = self.sched.prediction_stats();
-        let l = self.learned.as_mut().expect("eject without a learned run");
-        l.final_predictions = predictions;
-        l.final_hits = hits;
-        l.ejected = Some((t, reason));
-        let name = l.name;
-        self.bus.emit_at(
-            t,
-            ObsEvent::LearnedEjected {
-                cpu,
-                model: name,
-                reason,
-            },
-        );
-        let mut old = std::mem::replace(
-            &mut self.sched,
-            Box::new(elsc_sched_linux::LinuxScheduler::new()),
-        );
-        let mut meter = CycleMeter::new();
-        self.bus.set_now(t);
-        {
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut meter,
-                costs: &self.cfg.costs,
-                cfg: &self.cfg.sched,
-                probe: Some(&mut self.bus),
-                locks: None,
-            };
-            let queued = old.drain(&mut ctx);
-            // Front insertion again: reverse re-add preserves order.
-            for &tid in queued.iter().rev() {
-                self.sched.add_to_runqueue(&mut ctx, tid);
-            }
-        }
-        self.charge_kernel_meter(cpu, Phase::Schedule, &meter);
     }
 
     /// Runs the current task: dispatch compute segments and execute
@@ -1644,11 +1683,9 @@ impl Machine {
                                 remaining: 0,
                                 syscall: Syscall::Read(pipe),
                             });
-                            if self.poll_or_park(cur, cpu, |pipes| {
+                            self.poll_or_park(cur, cpu, |pipes| {
                                 pipes.pipe_mut(pipe).readers.park(cur)
-                            }) {
-                                return Some(t);
-                            }
+                            });
                             return Some(t);
                         }
                         Err(PipeError::Closed) => {
@@ -1762,22 +1799,19 @@ impl Machine {
     /// Spin-then-block on a would-block I/O operation: while the task has
     /// poll budget left, consume one unit and `sched_yield()` (the
     /// pending syscall retries when the task next runs); once the budget
-    /// is spent, park the task via `park` and block. Returns `true` when
-    /// it polled.
-    fn poll_or_park<F: FnOnce(&mut PipeTable)>(&mut self, cur: Tid, cpu: CpuId, park: F) -> bool {
+    /// is spent, park the task via `park` and block.
+    fn poll_or_park<F: FnOnce(&mut PipeTable)>(&mut self, cur: Tid, cpu: CpuId, park: F) {
         let polls_left = self.run_ref(cur).polls_left;
         if polls_left > 0 {
             self.run_mut(cur).polls_left = polls_left - 1;
             self.tasks.task_mut(cur).policy.yielded = true;
             self.stats.cpu_mut(cpu).yields += 1;
-            true
         } else {
             self.run_mut(cur).polls_left = self.cfg.io_poll_yields;
             park(&mut self.pipes);
             self.bus
                 .emit_at(self.now, ObsEvent::Block { tid: cur, cpu });
             self.tasks.task_mut(cur).state = TaskState::Interruptible;
-            false
         }
     }
 
@@ -1876,62 +1910,17 @@ impl Machine {
         // queue under sharded plans — while the spin is charged to the
         // waker, whose time pays for it.
         let queue_cpu = self.tasks.task(tid).processor;
-        let (t_acq, home) = if self.cfg.sched.smp {
-            self.acquire_home_domain(queue_cpu, waker_cpu, t)
-        } else {
-            (t, 0)
-        };
-        let mut meter = CycleMeter::new();
-        let mut domains = if self.cfg.sched.smp {
-            Some(LockDomains::new(
-                &mut self.locks,
-                self.plan,
-                self.cfg.sched.nr_cpus,
-                waker_cpu,
-                t_acq,
-                home,
-                &mut self.lock_scratch,
-            ))
-        } else {
-            None
-        };
-        {
-            self.bus.set_now(t_acq);
-            let mut ctx = SchedCtx {
-                tasks: &mut self.tasks,
-                stats: &mut self.stats,
-                meter: &mut meter,
-                costs: &self.cfg.costs,
-                cfg: &self.cfg.sched,
-                probe: Some(&mut self.bus),
-                locks: domains.as_mut().map(|d| d as &mut dyn DomainLocker),
-            };
-            self.sched.add_to_runqueue(&mut ctx, tid);
-        }
-        // reschedule_idle() runs under the run-queue lock in the kernel:
-        // it reads every CPU's current task, so it is charged one
-        // goodness evaluation per CPU plus its fixed cost, all while
-        // holding the lock — a major serialization point on SMP.
-        meter.charge(&self.cfg.costs, CostKind::RescheduleIdle);
-        meter.charge_n(
-            &self.cfg.costs,
-            CostKind::GoodnessEval,
-            self.cfg.nr_cpus() as u64,
-        );
-        let (extra_spin, n_taken) = match domains {
-            Some(d) => {
-                let extra = d.extra_spin();
-                let taken = d.release_all(t_acq + meter.cycles() + extra);
-                (extra, taken.len())
-            }
-            None => (0, 0),
-        };
-        self.charge_kernel_meter(waker_cpu, Phase::Wakeup, &meter);
-        let t2 = t_acq + meter.take() + extra_spin;
-        for k in 0..n_taken {
-            let a = self.lock_scratch.taken()[k];
-            self.account_domain_acquire(waker_cpu, a);
-        }
+        let (_, _, t2) = self.locked(waker_cpu, queue_cpu, Phase::Wakeup, t, |sched, ctx| {
+            sched.add_to_runqueue(ctx, tid);
+            // reschedule_idle() runs under the run-queue lock in the
+            // kernel: it reads every CPU's current task, so it is
+            // charged one goodness evaluation per CPU plus its fixed
+            // cost, all while holding the lock — a major serialization
+            // point on SMP.
+            ctx.meter.charge(ctx.costs, CostKind::RescheduleIdle);
+            ctx.meter
+                .charge_n(ctx.costs, CostKind::GoodnessEval, ctx.cfg.nr_cpus as u64);
+        });
         let mut t3 = t2;
 
         // Snapshot every CPU into the reusable scratch buffer — one of
@@ -1962,6 +1951,13 @@ impl Machine {
         }
         t3
     }
+}
+
+/// Whether `task`'s quantum is used up in a way that forces a
+/// reschedule: timesharing tasks and SCHED_RR at a zero counter;
+/// SCHED_FIFO runs until it blocks.
+fn quantum_expired(task: &Task) -> bool {
+    task.counter == 0 && (!task.policy.class.is_realtime() || task.policy.class == SchedClass::Rr)
 }
 
 /// Grows a vector of options so `idx` is addressable.
@@ -2640,6 +2636,7 @@ mod policy_tests {
     use crate::trace::TraceEvent;
     use elsc_ktask::MmId;
     use elsc_policy::PolicyScheduler;
+    use elsc_sched_api::PolicyBackend;
 
     const REG_POL: &str = include_str!("../../../policies/reg.pol");
     const STARVE_POL: &str = include_str!("../../../policies/starve.pol");

@@ -109,20 +109,13 @@ pub struct PolicySummary {
 impl PolicySummary {
     /// Renders the summary as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut obj = Obj::new()
+        let obj = Obj::new()
             .str("name", self.name)
             .u64("static_insns", self.static_insns)
             .u64("budget", self.budget)
             .str("backend", self.backend)
-            .u64("insns_executed", self.insns_executed)
-            .raw("ejected", bool_json(self.ejected));
-        if let Some(at) = self.ejected_at {
-            obj = obj.u64("ejected_at", at.get());
-        }
-        if let Some(r) = self.eject_reason {
-            obj = obj.str("eject_reason", r);
-        }
-        obj.build()
+            .u64("insns_executed", self.insns_executed);
+        ejection_json(obj, self.ejected, self.ejected_at, self.eject_reason).build()
     }
 }
 
@@ -167,21 +160,14 @@ impl LearnedSummary {
 
     /// Renders the summary as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut obj = Obj::new()
+        let obj = Obj::new()
             .str("name", self.name)
             .str("arch", self.arch)
             .u64("predictions", self.predictions)
             .u64("hits", self.hits)
             .u64("mispredicts", self.mispredicts())
-            .f64("accuracy", self.accuracy())
-            .raw("ejected", bool_json(self.ejected));
-        if let Some(at) = self.ejected_at {
-            obj = obj.u64("ejected_at", at.get());
-        }
-        if let Some(r) = self.eject_reason {
-            obj = obj.str("eject_reason", r);
-        }
-        obj.build()
+            .f64("accuracy", self.accuracy());
+        ejection_json(obj, self.ejected, self.ejected_at, self.eject_reason).build()
     }
 }
 
@@ -406,6 +392,33 @@ impl RunReport {
     }
 }
 
+/// Appends a watchdog summary's `ejected`, `ejected_at` and
+/// `eject_reason` fields.
+fn ejection_json(obj: Obj, ejected: bool, at: Option<Cycles>, reason: Option<&str>) -> Obj {
+    let mut obj = obj.raw("ejected", bool_json(ejected));
+    if let Some(at) = at {
+        obj = obj.u64("ejected_at", at.get());
+    }
+    if let Some(r) = reason {
+        obj = obj.str("eject_reason", r);
+    }
+    obj
+}
+
+/// Ends a watchdog summary's text line, noting the ejection if any.
+fn write_ejection(
+    f: &mut fmt::Formatter<'_>,
+    ejected: bool,
+    at: Option<Cycles>,
+    reason: Option<&str>,
+) -> fmt::Result {
+    if ejected {
+        let at = at.unwrap_or(Cycles::ZERO);
+        write!(f, " EJECTED at {at} ({})", reason.unwrap_or("?"))?;
+    }
+    writeln!(f)
+}
+
 /// Renders a bool as JSON.
 fn bool_json(v: bool) -> &'static str {
     if v {
@@ -520,15 +533,7 @@ impl fmt::Display for RunReport {
                 "  policy: {} [{}] static_insns={} budget={} insns={}",
                 p.name, p.backend, p.static_insns, p.budget, p.insns_executed
             )?;
-            if p.ejected {
-                write!(
-                    f,
-                    " EJECTED at {} ({})",
-                    p.ejected_at.unwrap_or(Cycles::ZERO),
-                    p.eject_reason.unwrap_or("?")
-                )?;
-            }
-            writeln!(f)?;
+            write_ejection(f, p.ejected, p.ejected_at, p.eject_reason)?;
         }
         if let Some(l) = &self.learned {
             write!(
@@ -541,15 +546,7 @@ impl fmt::Display for RunReport {
                 l.mispredicts(),
                 l.accuracy()
             )?;
-            if l.ejected {
-                write!(
-                    f,
-                    " EJECTED at {} ({})",
-                    l.ejected_at.unwrap_or(Cycles::ZERO),
-                    l.eject_reason.unwrap_or("?")
-                )?;
-            }
-            writeln!(f)?;
+            write_ejection(f, l.ejected, l.ejected_at, l.eject_reason)?;
         }
         if let Some(e) = &self.engine {
             writeln!(

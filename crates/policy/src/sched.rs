@@ -25,7 +25,6 @@
 //! The machine polls [`Scheduler::take_violation`] after every decision
 //! and ejects a violating policy (see the machine crate's watchdog).
 
-use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, MmId, SchedClass, TaskTable, Tid};
 use elsc_obs::ObsEvent;
 use elsc_sched_api::{
@@ -310,7 +309,7 @@ impl<'a, 'p, 'c> Interp<'a, 'p, 'c> {
                 Ok(Flow::Normal)
             }
             Stmt::Recalc { .. } => {
-                recalc_effect(self.ctx, &self.env);
+                self.ctx.recalculate(self.env.cpu, self.env.nr_running);
                 Ok(Flow::Normal)
             }
         }
@@ -378,26 +377,6 @@ pub(crate) fn set_counter_effect(ctx: &mut SchedCtx<'_>, t: Option<Tid>, v: i64)
         let cap = i64::from(task.priority).saturating_mul(2);
         task.counter = v.clamp(0, cap) as i32;
     }
-}
-
-/// The `recalc()` effect, shared by both backends. Mirrors the native
-/// schedulers' recalculation loop decision-for-decision, including
-/// stats and events.
-pub(crate) fn recalc_effect(ctx: &mut SchedCtx<'_>, env: &Env) {
-    let cpu = env.cpu;
-    ctx.stats.cpu_mut(cpu).recalc_entries += 1;
-    ctx.emit(ObsEvent::RecalcStart {
-        cpu,
-        nr_running: env.nr_running as u64,
-    });
-    let n = recalculate_counters(ctx.tasks);
-    ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-    ctx.meter
-        .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-    ctx.emit(ObsEvent::RecalcEnd {
-        cpu,
-        updated: n as u64,
-    });
 }
 
 /// Evaluates one host function — the single implementation both

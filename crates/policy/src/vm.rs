@@ -28,9 +28,7 @@ use elsc_sched_api::{Decider, PolicyViolation, SchedCtx};
 
 use crate::ast::HostFn;
 use crate::bytecode::{Chunk, Op, BINOPS, BUILTIN_REGS, HOSTFNS, NO_ARG};
-use crate::sched::{
-    binop, host_call, recalc_effect, set_counter_effect, wrap_list, Env, HookRun, Val,
-};
+use crate::sched::{binop, host_call, set_counter_effect, wrap_list, Env, HookRun, Val};
 
 /// One `foreach` nesting level: the snapshot taken at `for.begin` and
 /// the walk cursor.
@@ -217,7 +215,7 @@ pub(crate) fn run_chunk(
                 set_counter_effect(ctx, t, v);
             }
             Op::Recalc => {
-                recalc_effect(ctx, &env);
+                ctx.recalculate(env.cpu, env.nr_running);
             }
             Op::Halt => {
                 finish!(None);

@@ -12,6 +12,9 @@
 //! * [`Scheduler`] — the five entry points the kernel exposes:
 //!   `add_to_runqueue`, `del_from_runqueue`, `move_first_runqueue`,
 //!   `move_last_runqueue`, and `schedule` itself.
+//! * [`candidate_features`] and [`Recency`] — the learned scheduler's
+//!   per-candidate feature row, shared by inference and the machine's
+//!   decision-trace emitter so the two can never disagree.
 //! * [`resched::reschedule_idle`] — the wakeup placement logic shared by
 //!   all schedulers (the paper keeps it unchanged).
 //! * [`SchedConfig`] — machine-level knobs the schedulers see (CPU count,
@@ -27,6 +30,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod features;
 pub mod goodness;
 pub mod lockplan;
 pub mod resched;
@@ -34,6 +38,7 @@ pub mod scan;
 pub mod scheduler;
 
 pub use config::SchedConfig;
+pub use features::{candidate_features, Recency};
 pub use goodness::{
     goodness, goodness_ignoring_yield, goodness_ignoring_yield_on, hot_goodness_on, rt_goodness,
     topo_affinity_bonus, IDLE_GOODNESS, LLC_AFFINITY_BONUS, MM_BONUS, PACKAGE_AFFINITY_BONUS,

@@ -5,6 +5,7 @@
 //! the baseline and ELSC (and the §8 future-work designs) plug into the
 //! same machine unchanged — the paper's design goal 1.
 
+use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, TaskTable, Tid};
 use elsc_obs::{EventBus, ObsEvent};
 use elsc_simcore::{CostKind, CostModel, CycleMeter};
@@ -67,6 +68,22 @@ impl SchedCtx<'_> {
         let scan = scan_best(lists, head, self.tasks, d, floor);
         self.charge_goodness(d.cpu, scan.examined);
         scan
+    }
+
+    /// The baseline's system-wide counter recalculation (every candidate
+    /// out of quantum, paper §3.3.2), made on `cpu`'s behalf with
+    /// `nr_running` tasks queued: every task is walked and charged, with
+    /// the recalculation stats and bracketing events.
+    pub fn recalculate(&mut self, cpu: CpuId, nr_running: usize) {
+        self.stats.cpu_mut(cpu).recalc_entries += 1;
+        self.emit(ObsEvent::RecalcStart {
+            cpu,
+            nr_running: nr_running as u64,
+        });
+        let n = recalculate_counters(self.tasks) as u64;
+        self.stats.cpu_mut(cpu).recalc_tasks += n;
+        self.meter.charge_n(self.costs, CostKind::RecalcPerTask, n);
+        self.emit(ObsEvent::RecalcEnd { cpu, updated: n });
     }
 
     /// Ensures the lock domain guarding `queue_cpu`'s run queue is held
@@ -206,6 +223,13 @@ impl PolicyViolation {
 ///   every other task has had a fair evaluation per the design's rules,
 ///   and all cycles consumed were charged to `ctx.meter`. The machine
 ///   sets `processor` afterwards (so it can detect migrations).
+///
+/// The hooks from [`Scheduler::loaded_info`] on serve only the policy and
+/// learned schedulers, which the machine supervises and may eject. They
+/// stay separate methods rather than one supervision interface because
+/// decorators that wrap a scheduler (the `perfbench` timing layer) forward
+/// every method by name: a new defaulted method would silently not be
+/// forwarded and change the wrapped run.
 pub trait Scheduler {
     /// Human-readable name ("reg", "elsc", ...), used in reports.
     fn name(&self) -> &'static str;

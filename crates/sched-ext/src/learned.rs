@@ -25,13 +25,10 @@
 //! affected, and the verification bound catches any pick the skew
 //! misleads.
 
-use std::collections::HashMap;
-
 use elsc_ktask::{CpuId, Lists, SchedClass, Tid};
 use elsc_learn::{quantize, Model, FEATURES};
-use elsc_obs::ObsEvent;
 use elsc_sched_api::{
-    goodness_ignoring_yield_on, hot_goodness_on, topo_affinity_bonus, Decider, LearnedInfo,
+    candidate_features, goodness_ignoring_yield_on, hot_goodness_on, Decider, LearnedInfo, Recency,
     SchedCtx, Scheduler, IDLE_GOODNESS,
 };
 use elsc_simcore::CostKind;
@@ -47,12 +44,10 @@ pub struct LearnedScheduler {
     model: Model,
     /// Report name, `learned:<model stem>`.
     name: &'static str,
-    /// Decision counter for the recency feature (mirrors the machine's
-    /// `--decision-trace` bookkeeping, so trained recency columns mean
-    /// the same thing at inference).
-    decisions: u64,
-    /// Decision index of each task's last win on any CPU.
-    last_picked: HashMap<Tid, u64>,
+    /// The recency column's bookkeeping, kept exactly as the machine's
+    /// `--decision-trace` emitter keeps it, so trained recency columns
+    /// mean the same thing at inference.
+    recency: Recency,
     /// Predictions made (one per decision with scorable candidates).
     predictions: u64,
     /// Predictions that survived verification.
@@ -71,8 +66,7 @@ impl LearnedScheduler {
             nr_running: 0,
             model,
             name,
-            decisions: 0,
-            last_picked: HashMap::new(),
+            recency: Recency::default(),
             predictions: 0,
             hits: 0,
             last_outcome: None,
@@ -96,33 +90,6 @@ impl LearnedScheduler {
     /// Collects the run queue front-to-back (tests and examples).
     pub fn queue_order(&self, tasks: &elsc_ktask::TaskTable) -> Vec<u32> {
         self.lists.collect(tasks, 0)
-    }
-
-    /// Scores one candidate: features vs this decision's context, then
-    /// the model. `depth` is the queue depth sampled at entry.
-    fn score_candidate(
-        &self,
-        ctx: &SchedCtx<'_>,
-        cpu: CpuId,
-        tid: Tid,
-        depth: u64,
-        prev_mm: elsc_ktask::MmId,
-    ) -> i64 {
-        let task = ctx.tasks.task(tid);
-        let recency = self
-            .last_picked
-            .get(&tid)
-            .map_or(255, |&won| (self.decisions - won).min(255));
-        let raw: [i64; FEATURES] = [
-            depth as i64,
-            task.counter.max(0) as i64,
-            task.priority.max(0) as i64,
-            task.policy.class.is_realtime() as i64,
-            (task.mm == prev_mm) as i64,
-            topo_affinity_bonus(&ctx.cfg.topology, cpu, task.processor).max(0) as i64,
-            recency as i64,
-        ];
-        self.model.score(&quantize(&raw))
     }
 
     /// The baseline's selection loop, verbatim: full O(n) goodness scan
@@ -168,20 +135,7 @@ impl LearnedScheduler {
             if c != 0 {
                 return next;
             }
-            let stats = ctx.stats.cpu_mut(cpu);
-            stats.recalc_entries += 1;
-            ctx.emit(ObsEvent::RecalcStart {
-                cpu,
-                nr_running: self.nr_running as u64,
-            });
-            let n = elsc_ktask::recalc::recalculate_counters(ctx.tasks);
-            ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-            ctx.emit(ObsEvent::RecalcEnd {
-                cpu,
-                updated: n as u64,
-            });
+            ctx.recalculate(cpu, self.nr_running);
         }
     }
 }
@@ -237,7 +191,7 @@ impl Scheduler for LearnedScheduler {
     fn schedule(&mut self, ctx: &mut SchedCtx<'_>, cpu: CpuId, prev: Tid, idle: Tid) -> Tid {
         ctx.meter.charge(ctx.costs, CostKind::SchedBase);
         ctx.stats.cpu_mut(cpu).sched_calls += 1;
-        self.decisions += 1;
+        self.recency.next_decision();
         self.last_outcome = None;
         // Queue depth *before* prev leaves, matching the machine's
         // `--decision-trace` sampling point.
@@ -276,15 +230,22 @@ impl Scheduler for LearnedScheduler {
         // first, then the queue), one TableIndex charge per score — the
         // fixed-topology model evaluates in constant time, like an ELSC
         // table lookup. First-wins argmax mirrors the trainer's eval.
+        let score = |ctx: &SchedCtx<'_>, tid: Tid| {
+            let raw: [i64; FEATURES] = candidate_features(
+                ctx.tasks.task(tid),
+                cpu,
+                prev_mm,
+                &ctx.cfg.topology,
+                depth,
+                self.recency.of(tid),
+            );
+            self.model.score(&quantize(&raw))
+        };
         let mut pick: Option<(i64, Tid)> = None;
-        {
-            let prev_runnable = ctx.tasks.task(prev).state.is_runnable();
-            if prev != idle && prev_runnable {
-                ctx.meter.charge(ctx.costs, CostKind::TableIndex);
-                ctx.stats.cpu_mut(cpu).tasks_examined += 1;
-                let s = self.score_candidate(ctx, cpu, prev, depth, prev_mm);
-                pick = Some((s, prev));
-            }
+        if prev != idle && ctx.tasks.task(prev).state.is_runnable() {
+            ctx.meter.charge(ctx.costs, CostKind::TableIndex);
+            ctx.stats.cpu_mut(cpu).tasks_examined += 1;
+            pick = Some((score(ctx, prev), prev));
         }
         let (front, back) = self.lists.members(0);
         let mut scored = 0u64;
@@ -293,7 +254,7 @@ impl Scheduler for LearnedScheduler {
             if can_schedule(ctx, i, prev) {
                 scored += 1;
                 let tid = ctx.tasks.by_index(i).tid;
-                let s = self.score_candidate(ctx, cpu, tid, depth, prev_mm);
+                let s = score(ctx, tid);
                 if pick.is_none_or(|(bs, _)| s > bs) {
                     pick = Some((s, tid));
                 }
@@ -356,7 +317,7 @@ impl Scheduler for LearnedScheduler {
         if next == idle {
             ctx.stats.cpu_mut(cpu).idle_scheduled += 1;
         } else {
-            self.last_picked.insert(next, self.decisions);
+            self.recency.won(next);
         }
         if next != prev {
             ctx.tasks.task_mut(prev).has_cpu = false;

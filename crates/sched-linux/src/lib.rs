@@ -15,9 +15,7 @@
 //! simulated machine the same way.
 #![warn(missing_docs)]
 
-use elsc_ktask::recalc::recalculate_counters;
 use elsc_ktask::{CpuId, Lists, SchedClass, Tid};
-use elsc_obs::ObsEvent;
 use elsc_sched_api::{goodness_ignoring_yield_on, Decider, SchedCtx, Scheduler, IDLE_GOODNESS};
 use elsc_simcore::CostKind;
 
@@ -175,20 +173,7 @@ impl Scheduler for LinuxScheduler {
             // (paper §3.3.2; footnote 1 — an empty run queue schedules
             // the idle task instead, which the `c != 0` test covers
             // because `c` stays at -1000).
-            let stats = ctx.stats.cpu_mut(cpu);
-            stats.recalc_entries += 1;
-            ctx.emit(ObsEvent::RecalcStart {
-                cpu,
-                nr_running: self.nr_running as u64,
-            });
-            let n = recalculate_counters(ctx.tasks);
-            ctx.stats.cpu_mut(cpu).recalc_tasks += n as u64;
-            ctx.meter
-                .charge_n(ctx.costs, CostKind::RecalcPerTask, n as u64);
-            ctx.emit(ObsEvent::RecalcEnd {
-                cpu,
-                updated: n as u64,
-            });
+            ctx.recalculate(cpu, self.nr_running);
         };
 
         if next == idle {
